@@ -29,6 +29,12 @@ cargo test -q
 step "cargo test --workspace"
 cargo test -q --workspace
 
+step "perfbench self-tests (release)"
+# perfbench is its own cargo workspace, so the stage above never builds it.
+# Its gate tests pin the RunReport digests of the benchmark workloads: any
+# change to virtual time fails here.
+cargo test --release --manifest-path perfbench/Cargo.toml
+
 if [[ "${1:-}" != "quick" ]]; then
   step "static schedule verification (repro analyze)"
   # Exits non-zero on any error-severity finding; writes results/ANALYZE.json.

@@ -12,7 +12,12 @@
 //!   offload the CPE part — returning immediately (async), spinning (sync),
 //!   or executing on the MPE (MPE-only);
 //! * step 3c — test posted sends and receives, updating dependent tasks
-//!   (the `sw-mpi` layer only progresses inside these calls);
+//!   (the `sw-mpi` layer only progresses inside these calls). Each call
+//!   charges one `mpi_call_overhead` and drives `progress`, which walks
+//!   only the rank's ready index; the receives it completed are then
+//!   drained from the rank's completion queue in posting order and
+//!   unpacked, so the host cost follows the completions, not the number
+//!   of pending handles;
 //! * step 3d — execute other MPE work (the per-step reduction).
 //!
 //! The scheduler is a state machine driven by the controller's event loop:
@@ -211,7 +216,11 @@ pub struct RankSched {
     /// Forced timestep (AMR global dt); `None` = the application's stable dt.
     dt_override: Option<f64>,
     patch_state: BTreeMap<PatchId, PatchRun>,
+    /// Posted receives not yet harvested: `(handle, plan.recvs index,
+    /// stage)`, ascending by handle (posting order).
     pending_recvs: Vec<(RecvHandle, usize, usize)>,
+    /// Reused buffer the completion queue is drained into.
+    completed: Vec<RecvHandle>,
     pending_sends: Vec<SendHandle>,
     /// Patches whose MPE part is done, queued for the CPE cluster. In
     /// asynchronous mode the MPE prepares these *while a kernel runs* — the
@@ -294,6 +303,7 @@ impl RankSched {
             dt_override: None,
             patch_state: BTreeMap::new(),
             pending_recvs: Vec::new(),
+            completed: Vec::new(),
             pending_sends: Vec::new(),
             prepped: std::collections::VecDeque::new(),
             running: BTreeMap::new(),
@@ -509,9 +519,9 @@ impl RankSched {
 
         // §V-C step 3a: post non-blocking receives first — for every stage;
         // later stages' messages arrive as their producers complete.
-        let recvs = self.plan.recvs.clone();
         for stage in 0..stages {
-            for (i, rv) in recvs.iter().enumerate() {
+            for i in 0..self.plan.recvs.len() {
+                let rv = self.plan.recvs[i];
                 cursor = self.consume_cat(&mut ctx.machine, cursor, cfg.mpi_call_overhead, |b| {
                     &mut b.mpi
                 });
@@ -529,7 +539,8 @@ impl RankSched {
         }
         // Post sends of the old-DW ghost data (stage 0's input; the
         // producing task completed last step): pack on the MPE, then isend.
-        for s in self.plan.sends.clone() {
+        for k in 0..self.plan.sends.len() {
+            let s = self.plan.sends[k];
             let bytes = s.window.cells() * 8;
             cursor = self.consume_cat(&mut ctx.machine, cursor, cfg.mpe_copy_time(bytes), |b| {
                 &mut b.copies
@@ -703,54 +714,82 @@ impl RankSched {
         }
     }
 
-    /// Process completed receives: unpack ghost payloads into the old DW and
-    /// update dependent tasks.
+    /// Process completed receives: drain the rank's completion queue and
+    /// unpack each ghost payload into the warehouse, updating dependent
+    /// tasks. The queue and `pending_recvs` both ascend by handle, so the
+    /// receives are handled in posting order.
     fn harvest_recvs(
         &mut self,
         ctx: &mut StepCtx<'_>,
         mut cursor: SimTime,
         progressed: &mut bool,
     ) -> SimTime {
-        let mut still = Vec::with_capacity(self.pending_recvs.len());
-        for (h, i, stage) in std::mem::take(&mut self.pending_recvs) {
-            if ctx.mpi.recv_done(h) {
-                let rv = self.plan.recvs[i].clone();
-                let bytes = rv.window.cells() * 8;
-                let copy = ctx.machine.cfg().mpe_copy_time(bytes);
-                cursor = self.consume_cat(&mut ctx.machine, cursor, copy, |b| &mut b.copies);
-                if self.exec == ExecMode::Functional {
-                    let payload = ctx
-                        .mpi
-                        .take_payload(h)
-                        .expect("functional ghost message lost its payload");
-                    if stage == 0 {
-                        self.dws
-                            .old
-                            .get_mut(LABEL_U, rv.dst_patch)
-                            .unpack(&rv.window, &payload);
-                    } else {
-                        // Ghosts of the previous stage's output; allocate the
-                        // (ghosted) stage variable if the local kernel has not
-                        // produced it yet.
-                        let region = ctx.level.patch(rv.dst_patch).region.grow(ctx.app.ghost());
-                        self.dws
-                            .new
-                            .allocate(stage_label(stage - 1), rv.dst_patch, region)
-                            .unpack(&rv.window, &payload);
-                    }
+        let mut done = std::mem::take(&mut self.completed);
+        ctx.mpi.take_completed(self.rank, &mut done);
+        if !done.is_empty() {
+            let mut next = done.iter().copied().peekable();
+            let mut pending = std::mem::take(&mut self.pending_recvs);
+            pending.retain(|&(h, i, stage)| {
+                if next.next_if_eq(&h).is_none() {
+                    return true;
                 }
-                ctx.mpi.retire_recv(h);
-                self.patch_state
-                    .get_mut(&rv.dst_patch)
-                    .expect("recv for non-local patch")
-                    .recvs_by_stage[stage] -= 1;
-                self.stats.ghosts_received += 1;
-                *progressed = true;
+                cursor = self.unpack_recv(ctx, cursor, h, i, stage);
+                false
+            });
+            assert!(
+                next.next().is_none(),
+                "rank {}: a receive completed that the scheduler never posted",
+                self.rank
+            );
+            self.pending_recvs = pending;
+            *progressed = true;
+        }
+        self.completed = done;
+        cursor
+    }
+
+    /// Consume one completed ghost receive: charge the MPE copy, unpack the
+    /// payload (functional mode), retire the handle, and release the
+    /// dependent stage.
+    fn unpack_recv(
+        &mut self,
+        ctx: &mut StepCtx<'_>,
+        mut cursor: SimTime,
+        h: RecvHandle,
+        i: usize,
+        stage: usize,
+    ) -> SimTime {
+        let rv = self.plan.recvs[i];
+        let bytes = rv.window.cells() * 8;
+        let copy = ctx.machine.cfg().mpe_copy_time(bytes);
+        cursor = self.consume_cat(&mut ctx.machine, cursor, copy, |b| &mut b.copies);
+        if self.exec == ExecMode::Functional {
+            let payload = ctx
+                .mpi
+                .take_payload(h)
+                .expect("functional ghost message lost its payload");
+            if stage == 0 {
+                self.dws
+                    .old
+                    .get_mut(LABEL_U, rv.dst_patch)
+                    .unpack(&rv.window, &payload);
             } else {
-                still.push((h, i, stage));
+                // Ghosts of the previous stage's output; allocate the
+                // (ghosted) stage variable if the local kernel has not
+                // produced it yet.
+                let region = ctx.level.patch(rv.dst_patch).region.grow(ctx.app.ghost());
+                self.dws
+                    .new
+                    .allocate(stage_label(stage - 1), rv.dst_patch, region)
+                    .unpack(&rv.window, &payload);
             }
         }
-        self.pending_recvs = still;
+        ctx.mpi.retire_recv(h);
+        self.patch_state
+            .get_mut(&rv.dst_patch)
+            .expect("recv for non-local patch")
+            .recvs_by_stage[stage] -= 1;
+        self.stats.ghosts_received += 1;
         cursor
     }
 
@@ -793,7 +832,14 @@ impl RankSched {
             cfg.mpe_task_overhead + cfg.mpe_task_per_cell * cells,
             |b| &mut b.task_mgmt,
         );
-        let prep = self.plan.prep[&p].clone();
+        // Borrowed out of the plan (and put back below) so the loops can
+        // charge the MPE without cloning the copy and boundary lists.
+        let prep = std::mem::take(
+            self.plan
+                .prep
+                .get_mut(&p)
+                .expect("prepping non-local patch"),
+        );
         if stage == 0 {
             // Stage 0 reads the old DW: same-rank ghost copies happen here
             // (the data has been ready since the step began).
@@ -837,6 +883,7 @@ impl RankSched {
                 ctx.app.fill_boundary(ctx.level, bc, var, t_stage);
             }
         }
+        *self.plan.prep.get_mut(&p).expect("prep borrowed above") = prep;
         self.patch_state
             .get_mut(&p)
             .expect("prepping non-local patch")
@@ -1285,7 +1332,8 @@ impl RankSched {
         if !last {
             // "Post non-blocking MPI sends for the completed task": remote
             // neighbors need this stage's output for their next stage.
-            for s in self.plan.sends.clone() {
+            for k in 0..self.plan.sends.len() {
+                let s = self.plan.sends[k];
                 if s.src_patch != p {
                     continue;
                 }
@@ -1508,12 +1556,12 @@ impl RankSched {
                 Some(cur) => cur.min(t),
             });
         };
-        if let Some(h) = self.athread.inflight().iter().find(|h| h.done_at != NEVER) {
+        if let Some(done_at) = self.athread.earliest_done() {
             let poll = match self.variant.mode {
                 SchedulerMode::AsyncCpe => ctx.machine.cfg().flag_poll_interval,
                 _ => sw_sim::SimDur::ZERO,
             };
-            consider((h.done_at + poll).max(cursor));
+            consider((done_at + poll).max(cursor));
         }
         // The reduction result needs no consideration here: the controller
         // broadcasts a wakeup timer to every rank when the barrier merge

@@ -13,7 +13,7 @@ use crate::grid::region::{Face, FACES};
 use crate::grid::{Level, PatchId, Region};
 
 /// A face slab this rank must send to a remote rank each step.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct GhostSend {
     /// Local patch owning the data.
     pub src_patch: PatchId,
@@ -26,7 +26,7 @@ pub struct GhostSend {
 }
 
 /// A face slab this rank receives from a remote rank each step.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct GhostRecv {
     /// Local patch whose ghost layer the data fills.
     pub dst_patch: PatchId,

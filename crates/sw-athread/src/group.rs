@@ -184,6 +184,18 @@ impl AthreadGroup {
         v
     }
 
+    /// The earliest completion instant among in-flight kernels that will
+    /// complete (dead ones, at [`NEVER`], are skipped): what a scan of
+    /// [`Self::inflight`] finds, without building the sorted vector.
+    pub fn earliest_done(&self) -> Option<SimTime> {
+        self.slots
+            .iter()
+            .flatten()
+            .map(|h| h.done_at)
+            .filter(|&t| t != NEVER)
+            .min()
+    }
+
     /// A slot's completion flag (the word the MPE polls).
     pub fn flag(&self, slot: usize) -> &CompletionFlag {
         &self.flags[slot]

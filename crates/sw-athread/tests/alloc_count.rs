@@ -3,12 +3,13 @@
 //! the same number of allocations, because each worker's `TilePool` stages
 //! every tile through buffers sized once to the largest ghosted tile.
 //!
-//! Uses a counting `#[global_allocator]`, so this file holds exactly one
-//! test binary's worth of tests and nothing else runs concurrently with the
-//! measurements.
+//! Uses a counting `#[global_allocator]` that counts per thread, so other
+//! tests running concurrently cannot pollute a measurement. It sees the
+//! calling thread only: the parallel policy's workers run the same per-tile
+//! loop the serial measurement covers.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::Cell;
 
 use sw_athread::{
     assign_tiles, run_patch_functional_with, tiles_of, CpeTileKernel, Dims3, ExecPolicy, Field3,
@@ -17,13 +18,25 @@ use sw_athread::{
 
 struct CountingAlloc;
 
-static ALLOCS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    /// Allocations made by this thread. Per-thread, so tests the harness
+    /// runs concurrently cannot pollute each other's counts. A `const`
+    /// initializer on a `Copy` cell needs no lazy set-up or destructor, so
+    /// the allocator can touch it safely.
+    static ALLOCS: Cell<usize> = const { Cell::new(0) };
+}
 
-// SAFETY: pure pass-through to `System` plus a relaxed counter bump — the
-// layout/ownership contracts of `GlobalAlloc` are delegated unchanged.
+/// Count one allocation on the current thread.
+fn bump() {
+    // `try_with` only fails during thread teardown; nothing is measured then.
+    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+}
+
+// SAFETY: pure pass-through to `System` plus a thread-local counter bump —
+// the layout/ownership contracts of `GlobalAlloc` are delegated unchanged.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        bump();
         // SAFETY: forwarded verbatim; the caller upholds `alloc`'s contract.
         unsafe { System.alloc(layout) }
     }
@@ -33,7 +46,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
         unsafe { System.dealloc(ptr, layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        bump();
         // SAFETY: forwarded verbatim; the caller upholds `realloc`'s contract.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -44,9 +57,9 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 /// Allocation count of `f` on this thread's steady state.
 fn allocs_of<F: FnMut()>(mut f: F) -> usize {
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = ALLOCS.with(Cell::get);
     f();
-    ALLOCS.load(Ordering::Relaxed) - before
+    ALLOCS.with(Cell::get) - before
 }
 
 /// Trivial ghost-1 kernel; the test measures the executor, not the math.
@@ -125,9 +138,9 @@ fn tile_loop_is_zero_alloc_in_steady_state() {
          the tile loop is allocating per tile"
     );
 
-    // Parallel: allocations scale with workers (thread spawn, pool per
-    // worker), never with tile count. 48 extra tiles must not cost anywhere
-    // near even one extra allocation each.
+    // Parallel: the calling thread's allocations (worker hand-off, result
+    // gathering) scale with workers, never with tile count. 48 extra tiles
+    // must not cost anywhere near even one extra allocation each.
     let policy = ExecPolicy::Parallel { threads: 2 };
     run_once(patch, &coarse_plan, policy, &input, &mut out);
     run_once(patch, &fine_plan, policy, &input, &mut out);

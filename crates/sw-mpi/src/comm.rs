@@ -45,7 +45,7 @@
 //! delivery time, relaxing the progression-requires-host rule as a modeled
 //! machine variant.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use sw_resilience::{fold, FaultPlan, FaultStats, MsgFault, MsgKey};
@@ -209,9 +209,22 @@ struct Msg {
     deadline: Option<SimTime>,
 }
 
+impl Msg {
+    /// The rank whose `progress` can advance this message next, if any:
+    /// the receiver for an arrived RTS or payload, the sender for a granted
+    /// CTS or a lost payload awaiting resend. Every other state waits on
+    /// the wire (or is finished), so no `progress` call can act on it.
+    fn actor(&self) -> Option<Rank> {
+        match self.state {
+            MsgState::RtsArrived | MsgState::DataArrived => Some(self.dst),
+            MsgState::CtsArrived | MsgState::DataLost => Some(self.src),
+            _ => None,
+        }
+    }
+}
+
 #[derive(Debug)]
 struct RecvReq {
-    matched_msg: Option<u64>,
     complete: bool,
     /// The application consumed the payload via `take_payload`; the handle
     /// is dead weight and eligible for cadenced compaction.
@@ -260,7 +273,21 @@ pub struct MpiWorld {
     /// Per-rank index of in-flight message ids the rank may need to act on
     /// (as sender or receiver); keeps `progress` proportional to live
     /// traffic rather than run history.
-    active: Vec<std::collections::BTreeSet<u64>>,
+    active: Vec<BTreeSet<u64>>,
+    /// Per-rank ready index: ids of messages whose next protocol step is
+    /// this rank's to take ([`Msg::actor`]). Fed at the state transitions
+    /// (wire arrivals, a dropped injection) by appending, and rebuilt by the
+    /// owner's `progress`, which sorts it and walks it in ascending id
+    /// instead of `active`, keeping only the ids still waiting on the rank.
+    /// A progress call thus costs the work that became possible, not the
+    /// rank's live traffic. Entries whose message moved on through the
+    /// other side's calls stay until the owner's walk drops them.
+    ready: Vec<Vec<u64>>,
+    /// Per-rank receive-completion queue: receive ids `progress` completed
+    /// and the rank has not yet drained with [`MpiWorld::take_completed`].
+    completed: Vec<Vec<u64>>,
+    /// Spare buffer `progress` swaps with the ready index it walks.
+    walk: Vec<u64>,
     /// Unmatched posted receives, FIFO per (dst, src, tag).
     posted: BTreeMap<(Rank, Rank, Tag), std::collections::VecDeque<u64>>,
     /// Per-source message-id sequence counters. Ids are drawn from
@@ -326,7 +353,10 @@ impl MpiWorld {
             n,
             msgs: BTreeMap::new(),
             recvs: BTreeMap::new(),
-            active: vec![std::collections::BTreeSet::new(); n],
+            active: vec![BTreeSet::new(); n],
+            ready: vec![Vec::new(); n],
+            completed: vec![Vec::new(); n],
+            walk: Vec::new(),
             posted: BTreeMap::new(),
             next_msg: vec![0; n],
             next_recv: vec![0; n],
@@ -623,6 +653,8 @@ impl MpiWorld {
                 let plan = self.faults.as_ref().unwrap();
                 m.state = MsgState::DataLost;
                 m.deadline = Some(when + SimDur(plan.msg_timeout_ps()));
+                // Only the sender's resend timer can move it on.
+                self.ready[src].push(id);
                 FaultStats::bump(&plan.stats.injected_msg_drop);
                 self.rec.record(
                     src,
@@ -686,6 +718,11 @@ impl MpiWorld {
     /// clean run consumed it). Late wire deliveries for it are suppressed
     /// via the minted-id watermark ([`MpiWorld::was_minted`]) — no
     /// retired-id set to grow without bound on long campaigns.
+    ///
+    /// The ready indexes are left alone: a retire runs on one side's
+    /// behalf, and the other side's index is only ever written by calls
+    /// made for that side (see [`SharedMpi`]). A stale entry is pruned by
+    /// its owner's next `progress`.
     fn retire_msg(&mut self, id: u64) {
         if let Some(m) = self.msgs.remove(&id) {
             self.active[m.src].remove(&id);
@@ -714,7 +751,6 @@ impl MpiWorld {
         self.recvs.insert(
             id,
             RecvReq {
-                matched_msg: None,
                 complete: false,
                 taken: false,
                 payload: None,
@@ -738,9 +774,11 @@ impl MpiWorld {
                 // in push order (ascending id per source, so FIFO matching
                 // order is exactly the senders' program order).
                 for m in members {
-                    let msg = self.msgs.get_mut(&m).expect("batch member vanished");
-                    debug_assert_eq!(msg.state, MsgState::DataInFlight);
-                    msg.state = MsgState::DataArrived;
+                    debug_assert_eq!(
+                        self.msgs.get(&m).expect("batch member vanished").state,
+                        MsgState::DataInFlight
+                    );
+                    self.arrive(m, MsgState::DataArrived);
                 }
                 return;
             }
@@ -760,17 +798,13 @@ impl MpiWorld {
             }
             let state = self.msgs[&id].state;
             match (phase, state) {
-                (PH_RTS, MsgState::RtsInFlight) => {
-                    self.msgs.get_mut(&id).unwrap().state = MsgState::RtsArrived;
-                }
-                (PH_CTS, MsgState::CtsInFlight) => {
-                    self.msgs.get_mut(&id).unwrap().state = MsgState::CtsArrived;
-                }
+                (PH_RTS, MsgState::RtsInFlight) => self.arrive(id, MsgState::RtsArrived),
+                (PH_CTS, MsgState::CtsInFlight) => self.arrive(id, MsgState::CtsArrived),
                 (PH_DATA, MsgState::DataInFlight | MsgState::DataLost) => {
                     // DataLost → DataArrived covers a stale copy landing
                     // after the sender already declared the attempt lost:
                     // delivery is delivery.
-                    self.msgs.get_mut(&id).unwrap().state = MsgState::DataArrived;
+                    self.arrive(id, MsgState::DataArrived);
                 }
                 (PH_DATA, MsgState::DataArrived | MsgState::AckWait) => {
                     // Duplicate delivery: the payload is already here (or
@@ -787,16 +821,35 @@ impl MpiWorld {
             }
             return;
         }
-        let msg = self
+        let m = self
             .msgs
             .get_mut(&id)
             .expect("wire token for unknown message");
-        msg.state = match (phase, msg.state) {
+        m.state = match (phase, m.state) {
             (PH_RTS, MsgState::RtsInFlight) => MsgState::RtsArrived,
             (PH_CTS, MsgState::CtsInFlight) => MsgState::CtsArrived,
             (PH_DATA, MsgState::DataInFlight) => MsgState::DataArrived,
             (p, s) => panic!("message {id}: phase {p} delivery in state {s:?}"),
         };
+        let actor = m
+            .actor()
+            .expect("an arrival always hands the message to a rank");
+        self.ready[actor].push(id);
+    }
+
+    /// A packet of message `id` landed, moving it to `state`: index it on
+    /// the rank whose `progress` acts next. Every arrival is delivered at
+    /// that rank's NIC, so the write stays on the delivering rank's side.
+    fn arrive(&mut self, id: u64, state: MsgState) {
+        let m = self
+            .msgs
+            .get_mut(&id)
+            .expect("arrival for a retired message");
+        m.state = state;
+        let actor = m
+            .actor()
+            .expect("an arrival always hands the message to a rank");
+        self.ready[actor].push(id);
     }
 
     /// Drive the MPI library on `rank` at `now`: match arrived messages to
@@ -836,26 +889,40 @@ impl MpiWorld {
                 actions += 1;
             }
         }
-        // Deterministic iteration over this rank's live traffic only:
-        // ascending message id gives MPI-FIFO matching.
-        let ids: Vec<u64> = self.active[rank].iter().copied().collect();
-        for id in ids {
-            let (src, dst, tag, state, matched, eager, ep) = {
-                let m = &self.msgs[&id];
-                (
-                    m.src,
-                    m.dst,
-                    m.tag,
-                    m.state,
-                    m.matched_recv,
-                    m.eager,
-                    m.endpoint,
-                )
+        // Walk only the messages this rank can act on, in ascending id —
+        // MPI-FIFO matching order. Every live message left out of the
+        // index is one this loop would pass over untouched.
+        debug_assert!(
+            self.active[rank]
+                .iter()
+                .all(|id| self.msgs[id].actor() != Some(rank) || self.ready[rank].contains(id)),
+            "rank {rank}: a message awaiting its action is missing from the ready index"
+        );
+        // The rank's index becomes the walk; the spare buffer takes its
+        // place and collects the ids still waiting (and any re-indexed by a
+        // dropped injection) as the walk goes.
+        let mut walk = std::mem::replace(&mut self.ready[rank], std::mem::take(&mut self.walk));
+        walk.sort_unstable();
+        walk.dedup();
+        for &id in &walk {
+            let Some(m) = self.msgs.get(&id) else {
+                // Retired on the other side's behalf (its ack landed).
+                continue;
             };
+            let (src, dst, tag, bytes, state, matched, eager, ep) = (
+                m.src,
+                m.dst,
+                m.tag,
+                m.bytes,
+                m.state,
+                m.matched_recv,
+                m.eager,
+                m.endpoint,
+            );
             match state {
                 MsgState::RtsArrived if dst == rank => {
                     // Match (or use an existing match) and grant the send.
-                    let recv = matched.or_else(|| self.match_recv(id, dst, src, tag));
+                    let recv = matched.or_else(|| self.match_recv(dst, src, tag));
                     if let Some(r) = recv {
                         self.msgs.get_mut(&id).unwrap().matched_recv = Some(r);
                         machine.net_send_ep(dst, src, CTRL_BYTES, now, encode(id, PH_CTS), ep);
@@ -863,10 +930,13 @@ impl MpiWorld {
                         self.rec
                             .record(dst, now.0, lane, Event::CtsSent { msg: id, peer: src });
                         actions += 1;
+                    } else {
+                        self.ready[rank].push(id);
                     }
                 }
                 MsgState::CtsArrived if src == rank => {
-                    // Rendezvous grant: payload through the fault plane.
+                    // Rendezvous grant: payload through the fault plane
+                    // (a dropped injection re-indexes the message).
                     self.inject_data(machine, id, now, false);
                     let m = self.msgs.get_mut(&id).unwrap();
                     // Rendezvous send buffer is released once injected (a
@@ -879,7 +949,9 @@ impl MpiWorld {
                     // detect and resend with exponential backoff, or force
                     // delivery once the retry budget is spent.
                     let deadline = self.msgs[&id].deadline.expect("lost msg without deadline");
-                    if now >= deadline {
+                    if now < deadline {
+                        self.ready[rank].push(id);
+                    } else {
                         let plan = self.faults.as_ref().unwrap().clone();
                         FaultStats::bump(&plan.stats.detected_msg);
                         self.rec.record(
@@ -912,7 +984,7 @@ impl MpiWorld {
                     }
                 }
                 MsgState::DataArrived if dst == rank => {
-                    let recv = matched.or_else(|| self.match_recv(id, dst, src, tag));
+                    let recv = matched.or_else(|| self.match_recv(dst, src, tag));
                     if let Some(r) = recv {
                         let m = self.msgs.get_mut(&id).unwrap();
                         m.matched_recv = Some(r);
@@ -923,6 +995,7 @@ impl MpiWorld {
                         let req = self.recvs.get_mut(&r).unwrap();
                         req.complete = true;
                         req.payload = payload;
+                        self.completed[rank].push(r);
                         self.recvs_completed += 1;
                         self.rec.record(
                             dst,
@@ -932,7 +1005,7 @@ impl MpiWorld {
                                 msg: id,
                                 peer: src,
                                 tag,
-                                bytes: self.msgs[&id].bytes,
+                                bytes,
                             },
                         );
                         actions += 1;
@@ -960,11 +1033,17 @@ impl MpiWorld {
                             // by now).
                             self.retire_msg(id);
                         }
+                    } else {
+                        self.ready[rank].push(id);
                     }
                 }
+                // Moved on through the other side's calls (a stale copy
+                // landed for a payload its sender had declared lost).
                 _ => {}
             }
         }
+        walk.clear();
+        self.walk = walk;
         self.rec.record(
             rank,
             now.0,
@@ -990,9 +1069,15 @@ impl MpiWorld {
     }
 
     /// Pop the oldest unmatched posted receive on `rank` for `(src, tag)`.
-    fn match_recv(&mut self, msg: u64, rank: Rank, src: Rank, tag: Tag) -> Option<u64> {
-        let id = self.posted.get_mut(&(rank, src, tag))?.pop_front()?;
-        self.recvs.get_mut(&id).unwrap().matched_msg = Some(msg);
+    fn match_recv(&mut self, rank: Rank, src: Rank, tag: Tag) -> Option<u64> {
+        let key = (rank, src, tag);
+        let q = self.posted.get_mut(&key)?;
+        let id = q.pop_front()?;
+        if q.is_empty() {
+            // Drop the drained channel: ghost tags are per step, so empty
+            // queues kept around would grow the map with run history.
+            self.posted.remove(&key);
+        }
         Some(id)
     }
 
@@ -1007,6 +1092,19 @@ impl MpiWorld {
     /// receives ever leave the map.
     pub fn recv_done(&self, h: RecvHandle) -> bool {
         self.recvs.get(&h.0).is_none_or(|r| r.complete)
+    }
+
+    /// Drain the receives `progress` completed on `rank` since the last
+    /// drain into `out` (cleared first), in ascending handle order — the
+    /// order `rank` posted them. Lets a scheduler harvest exactly what
+    /// completed instead of polling [`MpiWorld::recv_done`] on every
+    /// pending handle. A handle retired or compacted away before the drain
+    /// is not reported.
+    pub fn take_completed(&mut self, rank: Rank, out: &mut Vec<RecvHandle>) {
+        out.clear();
+        let q = &mut self.completed[rank];
+        q.sort_unstable();
+        out.extend(q.drain(..).map(RecvHandle));
     }
 
     /// Take the functional payload of a completed receive.
@@ -1091,6 +1189,11 @@ impl MpiWorld {
         if let Some(r) = self.recvs.get(&h.0) {
             assert!(r.complete, "retiring an incomplete receive");
             self.recvs.remove(&h.0);
+            // Receive ids are `rank + n * seq`: the owner's queue only.
+            let q = &mut self.completed[(h.0 % self.n as u64) as usize];
+            if let Some(i) = q.iter().position(|&id| id == h.0) {
+                q.swap_remove(i);
+            }
         }
     }
 
@@ -1129,8 +1232,13 @@ impl MpiWorld {
     /// messages are already retired eagerly by `progress`). Runs on a
     /// bounded cadence from `progress` — merely-complete receives are kept
     /// so `recv_done` pollers and pending `take_payload` calls stay valid.
+    /// Completion-queue entries of dropped handles go with them, which
+    /// bounds the queues of callers that poll instead of draining.
     pub fn compact(&mut self) {
         self.recvs.retain(|_, r| !(r.complete && r.taken));
+        for q in &mut self.completed {
+            q.retain(|id| self.recvs.contains_key(id));
+        }
     }
 }
 
@@ -1150,7 +1258,16 @@ impl MpiWorld {
 /// * matching is FIFO per `(dst, src, tag)` and driven solely by the
 ///   destination rank;
 /// * the shared counters (`sends_posted`, `recvs_completed`, fault stats)
-///   are pure accumulators.
+///   are pure accumulators;
+/// * each rank's ready index and receive-completion queue are written only
+///   by calls made on that rank's behalf: its own `isend`/`progress`/
+///   `retire_recv`/`take_completed`, and the wire arrivals delivered at its
+///   NIC. `retire_msg` (an ack landing at the sender, or a consumption at
+///   the receiver) therefore never touches the other rank's index; a stale
+///   entry is pruned lazily by its owner's next `progress`, and stale
+///   entries never change what `progress` does. Cadenced compaction only
+///   drops queue entries whose payload was already taken, which a caller
+///   that drains the queue before taking never leaves behind.
 ///
 /// Any interleaving of different ranks' calls therefore produces the same
 /// world state at the window barrier, which is what makes the PDES engine
@@ -1246,6 +1363,11 @@ impl SharedMpi {
     /// See [`MpiWorld::next_flush_at`].
     pub fn next_flush_at(&self, rank: Rank) -> Option<SimTime> {
         self.lock().next_flush_at(rank)
+    }
+
+    /// See [`MpiWorld::take_completed`].
+    pub fn take_completed(&self, rank: Rank, out: &mut Vec<RecvHandle>) {
+        self.lock().take_completed(rank, out);
     }
 
     /// See [`MpiWorld::send_done`].
@@ -1930,7 +2052,7 @@ mod tests {
         // reliable layer kept a retired-id set forever; both maps must now
         // stay O(cadence) over a long campaign.
         let (mut m, mut w, _plan) = reliable(2, FaultConfig::none(30));
-        let (mut max_msgs, mut max_recvs) = (0usize, 0usize);
+        let (mut max_msgs, mut max_recvs, mut max_queued) = (0usize, 0usize, 0usize);
         for i in 0..10_000u64 {
             w.isend(
                 &mut m.ctx(0),
@@ -1943,7 +2065,8 @@ mod tests {
             );
             let r = w.irecv(1, 0, 1);
             // Payload over, consumed, ack back — without ever calling
-            // retire_recv: cadenced compaction must bound the recv map.
+            // retire_recv or take_completed: cadenced compaction must bound
+            // the recv map and the completion queue alike.
             drain(&mut m, &mut w);
             let now = m.now();
             w.progress(1, &mut m.ctx(1), now);
@@ -1952,6 +2075,7 @@ mod tests {
             let (nm, nr) = w.handle_map_sizes();
             max_msgs = max_msgs.max(nm);
             max_recvs = max_recvs.max(nr);
+            max_queued = max_queued.max(w.completed[1].len());
         }
         assert!(w.quiescent());
         assert!(max_msgs <= 4, "live messages bounded, got {max_msgs}");
@@ -1959,6 +2083,19 @@ mod tests {
             max_recvs <= COMPACT_CADENCE as usize + 2,
             "recv handles bounded by the compaction cadence, got {max_recvs}"
         );
+        assert!(
+            max_queued <= COMPACT_CADENCE as usize + 2,
+            "completion queue bounded by the compaction cadence, got {max_queued}"
+        );
+        // Retiring a handle drops its queue entry too.
+        w.isend(&mut m.ctx(0), 0, 1, 1, 8, None, SimTime::ZERO);
+        let r = w.irecv(1, 0, 1);
+        drain(&mut m, &mut w);
+        let now = m.now();
+        w.progress(1, &mut m.ctx(1), now);
+        assert!(w.completed[1].contains(&r.0));
+        w.retire_recv(r);
+        assert!(!w.completed[1].contains(&r.0), "retired handle left queued");
     }
 
     #[test]
@@ -1997,5 +2134,138 @@ mod tests {
     fn never_minted_wire_tokens_still_panic() {
         let (_m, mut w, _plan) = reliable(2, FaultConfig::none(32));
         w.on_wire(encode(99, PH_DATA));
+    }
+
+    // ------------------------------------------------------------------
+    // Ready index and receive-completion queue
+    // ------------------------------------------------------------------
+
+    /// The ready index of `rank` as `progress` walks it: ascending,
+    /// without repeats.
+    fn ready(w: &MpiWorld, rank: Rank) -> Vec<u64> {
+        let mut v = w.ready[rank].clone();
+        v.sort_unstable();
+        v.dedup();
+        v
+    }
+
+    #[test]
+    fn eager_arrival_before_its_irecv_stays_indexed_until_matched() {
+        let (mut m, mut w) = setup(2);
+        let s = w.isend(&mut m.ctx(0), 0, 1, 4, 8, Some(vec![1.25]), SimTime::ZERO);
+        assert!(ready(&w, 1).is_empty(), "in flight: nothing to act on yet");
+        drain(&mut m, &mut w);
+        assert_eq!(ready(&w, 1), vec![s.0], "arrival indexed on the receiver");
+        assert!(ready(&w, 0).is_empty(), "the sender has nothing to do");
+        // No receive posted: progress leaves the arrival indexed.
+        let t = m.now();
+        assert_eq!(w.progress(1, &mut m.ctx(1), t), 0);
+        assert_eq!(ready(&w, 1), vec![s.0], "unmatched arrival stays indexed");
+        // The first progress after the post matches and prunes it.
+        let r = w.irecv(1, 0, 4);
+        assert_eq!(w.progress(1, &mut m.ctx(1), t), 1);
+        assert!(w.recv_done(r));
+        assert!(ready(&w, 1).is_empty());
+        assert_eq!(w.take_payload(r), Some(vec![1.25]));
+    }
+
+    #[test]
+    fn rendezvous_phases_each_land_in_the_acting_ranks_index() {
+        let (mut m, mut w) = setup(2);
+        let s = w.isend(&mut m.ctx(0), 0, 1, 3, 1_000_000, None, SimTime::ZERO);
+        let r = w.irecv(1, 0, 3);
+        // RTS lands: the receiver grants.
+        drain(&mut m, &mut w);
+        assert_eq!((ready(&w, 0), ready(&w, 1)), (vec![], vec![s.0]));
+        let t = m.now();
+        assert_eq!(w.progress(1, &mut m.ctx(1), t), 1);
+        assert!(ready(&w, 1).is_empty(), "CTS sent: receiver pruned");
+        // CTS lands: the sender injects.
+        drain(&mut m, &mut w);
+        assert_eq!((ready(&w, 0), ready(&w, 1)), (vec![s.0], vec![]));
+        let t = m.now();
+        assert_eq!(w.progress(0, &mut m.ctx(0), t), 1);
+        assert!(ready(&w, 0).is_empty(), "payload injected: sender pruned");
+        // DATA lands: the receiver completes.
+        drain(&mut m, &mut w);
+        assert_eq!((ready(&w, 0), ready(&w, 1)), (vec![], vec![s.0]));
+        let t = m.now();
+        assert_eq!(w.progress(1, &mut m.ctx(1), t), 1);
+        assert!(w.recv_done(r) && w.quiescent());
+        assert!(ready(&w, 0).is_empty() && ready(&w, 1).is_empty());
+    }
+
+    #[test]
+    fn lost_payload_is_resent_only_once_its_deadline_passes() {
+        let cfg = FaultConfig {
+            msg_drop_ppm: 999_999,
+            max_attempts: 4,
+            ..FaultConfig::none(27)
+        };
+        let (mut m, mut w, plan) = reliable(2, cfg);
+        let s = w.isend(&mut m.ctx(0), 0, 1, 6, 8, Some(vec![5.0]), SimTime::ZERO);
+        assert_eq!(w.msgs[&s.0].state, MsgState::DataLost);
+        assert_eq!(ready(&w, 0), vec![s.0], "the drop indexes the sender");
+        let deadline = w.next_deadline(0).expect("resend timer armed");
+        // Before the deadline: indexed, but nothing to do.
+        assert_eq!(w.progress(0, &mut m.ctx(0), SimTime(deadline.0 - 1)), 0);
+        assert_eq!(plan.stats.snapshot().resends_msg, 0);
+        assert_eq!(ready(&w, 0), vec![s.0], "still waiting on its timer");
+        // At the deadline: detected and resent.
+        assert_eq!(w.progress(0, &mut m.ctx(0), deadline), 1);
+        let c = plan.stats.snapshot();
+        assert_eq!((c.detected_msg, c.resends_msg), (1, 1));
+        let r = w.irecv(1, 0, 6);
+        settle(&mut m, &mut w, 2);
+        assert_eq!(w.take_payload(r), Some(vec![5.0]));
+    }
+
+    #[test]
+    fn aggregated_batch_members_enter_the_receivers_index_in_push_order() {
+        let (mut m, mut w) = setup(3);
+        w.set_comm(comm(1, 1 << 30, 1_000));
+        // Interleave two tags so push order is not tag order.
+        let pushed: Vec<u64> = [(5, 1.0), (6, 2.0), (5, 3.0), (6, 4.0)]
+            .into_iter()
+            .map(|(tag, x)| {
+                w.isend(&mut m.ctx(0), 0, 2, tag, 8, Some(vec![x]), SimTime::ZERO)
+                    .0
+            })
+            .collect();
+        assert!(ready(&w, 2).is_empty(), "staged: nothing visible yet");
+        w.progress(0, &mut m.ctx(0), SimTime(1_000));
+        drain(&mut m, &mut w);
+        assert_eq!(w.ready[2], pushed, "members indexed in push order");
+        let handles: Vec<RecvHandle> = [6, 5, 6, 5].into_iter().map(|t| w.irecv(2, 0, t)).collect();
+        let t = m.now();
+        assert_eq!(w.progress(2, &mut m.ctx(2), t), 4);
+        let got: Vec<_> = handles
+            .iter()
+            .map(|&h| w.take_payload(h).unwrap()[0])
+            .collect();
+        assert_eq!(got, vec![2.0, 1.0, 4.0, 3.0], "FIFO per (source, tag)");
+    }
+
+    #[test]
+    fn take_completed_returns_handles_in_posting_order() {
+        let (mut m, mut w) = setup(3);
+        // Post receives in one order, complete them in another: rank 2's
+        // message (sent first, lower id on its own source) and rank 0's.
+        let r0 = w.irecv(1, 0, 1);
+        let r2 = w.irecv(1, 2, 1);
+        let r0b = w.irecv(1, 0, 2);
+        w.isend(&mut m.ctx(2), 2, 1, 1, 8, None, SimTime::ZERO);
+        w.isend(&mut m.ctx(0), 0, 1, 2, 8, None, SimTime::ZERO);
+        w.isend(&mut m.ctx(0), 0, 1, 1, 8, None, SimTime::ZERO);
+        drain(&mut m, &mut w);
+        let t = m.now();
+        assert_eq!(w.progress(1, &mut m.ctx(1), t), 3);
+        let mut out = vec![RecvHandle(u64::MAX)];
+        w.take_completed(1, &mut out);
+        assert_eq!(out, vec![r0, r2, r0b], "ascending handle = posting order");
+        w.take_completed(1, &mut out);
+        assert!(out.is_empty(), "drained exactly once");
+        w.take_completed(0, &mut out);
+        assert!(out.is_empty(), "other ranks' queues untouched");
     }
 }

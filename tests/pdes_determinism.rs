@@ -15,6 +15,7 @@ use std::sync::Arc;
 use burgers::BurgersApp;
 use proptest::prelude::*;
 use sw_math::ExpKind;
+use sw_mpi::CommConfig;
 use sw_resilience::FaultConfig;
 use sw_telemetry::analyze;
 use uintah_core::grid::iv;
@@ -134,6 +135,59 @@ fn auto_thread_detection_matches_explicit() {
     let (se, re) = run(build_cfg(Variant::ACC_SIMD_ASYNC, None, false, true));
     assert_eq!(bits(&sa), bits(&se));
     assert_eq!(format!("{ra:?}"), format!("{re:?}"));
+}
+
+/// Real threads against the shared communicator: the ready indexes and
+/// receive-completion queues are mutated by concurrently draining shards
+/// under the `SharedMpi` lock, so repeated two-worker runs — each with its
+/// own lock interleaving — must all reproduce the serial report, under the
+/// default comm layer, aggregation, and the dedicated progress lane.
+#[test]
+fn repeated_two_thread_runs_match_serial_under_each_comm_config() {
+    let level = Level::new(iv(32, 32, 64), iv(4, 4, 8));
+    assert_eq!(level.n_patches(), 128);
+    let comms = [
+        ("default", CommConfig::default()),
+        (
+            "aggregation",
+            CommConfig {
+                agg_bytes: 4096,
+                agg_deadline_ps: 5_000_000,
+                ..CommConfig::default()
+            },
+        ),
+        (
+            "progress_lane",
+            CommConfig {
+                progress_lane: true,
+                ..CommConfig::default()
+            },
+        ),
+    ];
+    for (name, comm) in comms {
+        let cfg = |pdes: bool| {
+            let mut c = RunConfig::paper(Variant::ACC_ASYNC, ExecMode::Model, 16);
+            c.steps = 3;
+            c.comm = comm;
+            c.pdes = pdes;
+            c.threads = pdes.then_some(2);
+            c
+        };
+        let report = |c: RunConfig| {
+            let app = Arc::new(BurgersApp::new(&level, ExpKind::Fast));
+            let r = Simulation::new(level.clone(), app, c).run();
+            assert!(r.messages > 0, "{name}: no cross-rank traffic");
+            format!("{r:?}")
+        };
+        let serial = report(cfg(false));
+        for rep in 0..5 {
+            assert_eq!(
+                report(cfg(true)),
+                serial,
+                "{name}: two-thread run {rep} diverged from the serial engine"
+            );
+        }
+    }
 }
 
 proptest! {
