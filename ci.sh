@@ -29,6 +29,12 @@ cargo test -q
 step "cargo test --workspace"
 cargo test -q --workspace
 
+step "PDES stress (release)"
+# K = 10 repeated two-thread PDES runs per config (a 16-CG model run and a
+# functional run with pooled CPE tiles nested in the window drains), each
+# compared with the serial engine on the report and the warehouse bits.
+cargo test -q --release --test pdes_determinism -- --ignored stress
+
 step "perfbench self-tests (release)"
 # perfbench is its own cargo workspace, so the stage above never builds it.
 # Its gate tests pin the RunReport digests of the benchmark workloads: any

@@ -101,28 +101,20 @@ impl Runner {
                 .collect()
         } else {
             let next = AtomicUsize::new(0);
-            rayon::scope(|s| {
-                let handles: Vec<_> = (0..jobs)
-                    .map(|_| {
-                        let (next, todo) = (&next, &todo);
-                        s.spawn(move || {
-                            let mut out = Vec::new();
-                            loop {
-                                let i = next.fetch_add(1, Ordering::Relaxed);
-                                let Some(&(p, v, n)) = todo.get(i) else {
-                                    break;
-                                };
-                                out.push((i, compute_cell(machine, steps, p, v, n)));
-                            }
-                            out
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().expect("sweep worker panicked"))
-                    .collect()
+            rayon::fork_join(jobs, |_| {
+                let mut out = Vec::new();
+                loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    let Some(&(p, v, n)) = todo.get(i) else {
+                        break;
+                    };
+                    out.push((i, compute_cell(machine, steps, p, v, n)));
+                }
+                out
             })
+            .into_iter()
+            .flatten()
+            .collect()
         };
         // Stable result ordering: cache insertion follows the input list no
         // matter which worker finished first.

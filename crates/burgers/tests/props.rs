@@ -1,6 +1,6 @@
 //! Property tests of the Burgers model problem: phi's analytic properties,
-//! flop-count uniformity, and scalar/SIMD kernel bit-equivalence on random
-//! data.
+//! flop-count uniformity, scalar/SIMD kernel bit-equivalence on random
+//! data, and bit-exact separable exact-solution fills.
 
 use proptest::prelude::*;
 use sw_athread::{assign_tiles, run_patch_functional, tiles_of, Field3, Field3Mut};
@@ -10,6 +10,8 @@ use sw_math::ExpKind;
 use burgers::kernel::{BurgersScalarKernel, Geometry};
 use burgers::kernel_simd::BurgersSimdKernel;
 use burgers::phi::{exact_u, phi, phi_flops, phi_reference};
+use burgers::BurgersApp;
+use uintah_core::{iv, Application, CcVar, Level, Region};
 
 proptest! {
     /// phi equals its direct (3-exponential) definition across the domain
@@ -88,6 +90,38 @@ proptest! {
         let simd = run(&BurgersSimdKernel { geom, exp: ExpKind::Fast });
         for (i, (a, b)) in scalar.iter().zip(&simd).enumerate() {
             prop_assert_eq!(a.to_bits(), b.to_bits(), "cell {} differs: {} vs {}", i, a, b);
+        }
+    }
+
+    /// The separable `init`/`fill_boundary` write exactly `exact_at` on
+    /// every cell of a random sub-box of a ghosted patch (negative lows
+    /// included, possibly empty) of a level with a random physical origin,
+    /// at random times, and leave the rest of the variable untouched.
+    #[test]
+    fn separable_fills_are_bit_exact(
+        lo in (-1i64..4, -1i64..4, -1i64..4),
+        ext in (0i64..5, 0i64..5, 0i64..5),
+        origin in (-0.5f64..0.5, 0.0f64..0.9, 0.1f64..0.7),
+        t in 0.0f64..0.2,
+        at_init in 0u8..2,
+    ) {
+        let phys_lo = [origin.0, origin.1, origin.2];
+        let phys_hi = [origin.0 + 0.5, origin.1 + 0.25, origin.2 + 0.75];
+        let level = Level::with_domain(iv(4, 4, 4), iv(2, 1, 2), phys_lo, phys_hi);
+        let app = BurgersApp::new(&level, ExpKind::Fast);
+        let ghosted = level.patch(0).region.grow(1);
+        let lo = iv(lo.0, lo.1, lo.2);
+        let region = ghosted.intersect(&Region::new(lo, lo + iv(ext.0, ext.1, ext.2)));
+        let t = if at_init == 1 { 0.0 } else { t };
+        let mut var = CcVar::new(ghosted);
+        if at_init == 1 {
+            app.init(&level, &region, &mut var);
+        } else {
+            app.fill_boundary(&level, &region, &mut var, t);
+        }
+        for c in ghosted.iter() {
+            let want = if region.contains(c) { app.exact_at(&level, c, t) } else { 0.0 };
+            prop_assert_eq!(var.get(c).to_bits(), want.to_bits(), "cell {} t={}", c, t);
         }
     }
 }

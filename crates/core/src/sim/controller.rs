@@ -8,7 +8,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use sw_mpi::{CommConfig, ModeledAllreduce, MpiWorld, SharedMpi};
 use sw_resilience::{Checkpoint, FaultPlan, FaultStats, PatchRecord};
@@ -407,10 +407,10 @@ impl Simulation {
     /// parked in per-shard outboxes and merged at the window barrier; the
     /// calibrated model guarantees they land at or after the window end,
     /// which the merge asserts. With `cfg.pdes` the shards of one window
-    /// drain on scoped worker threads; either way the schedule — and the
-    /// resulting `RunReport`, telemetry, and fault streams — is
-    /// bit-identical, because ranks cannot observe each other inside a
-    /// window.
+    /// drain as tasks on the persistent fork-join pool; either way the
+    /// schedule — and the resulting `RunReport`, telemetry, and fault
+    /// streams — is bit-identical, because ranks cannot observe each other
+    /// inside a window.
     ///
     /// # Panics
     /// Panics on deadlock (events exhausted with unfinished ranks) — which
@@ -480,10 +480,6 @@ impl Simulation {
         } else {
             1
         };
-        // Multi-threaded PDES also shards the barrier merge itself: the
-        // serial bucketing pass fixes the order, the per-destination
-        // appends fan out (bit-identical either way).
-        machine.set_parallel_merge(cfg.pdes && threads > 1);
         macro_rules! ctx {
             ($r:expr) => {
                 &mut StepCtx {
@@ -614,8 +610,9 @@ impl Simulation {
             };
             let wend = wstart + lookahead;
             // Shards with no event inside the window have nothing to do;
-            // spawning threads is only worth it when at least two shards
-            // are active (a 1-thread host always takes the inline path).
+            // handing work to the pool is only worth it when at least two
+            // shards are active (a 1-thread host always takes the inline
+            // path).
             let active = (0..n_ranks)
                 .filter(|&r| machine.shard_peek(r).is_some_and(|t| t < wend))
                 .count();
@@ -659,26 +656,28 @@ impl Simulation {
                     .zip(ranks.iter_mut().zip(reduce_out.iter_mut()))
                     .collect();
                 let chunk = work.len().div_ceil(threads);
+                // One pool task per contiguous rank slice; each task locks
+                // only its own slice, so the mutexes never contend.
+                let slices: Vec<_> = work.chunks_mut(chunk).map(Mutex::new).collect();
                 let (mpi, reductions, level, app) = (&*mpi, &*reductions, &*level, &**app);
                 let progress_lane = cfg.comm.progress_lane;
-                rayon::scope(|s| {
-                    for slice in work.chunks_mut(chunk) {
-                        s.spawn(move || {
-                            for (mctx, (sched, outbox)) in slice.iter_mut() {
-                                Self::drain_rank(
-                                    sched,
-                                    mctx,
-                                    mpi,
-                                    reductions,
-                                    outbox,
-                                    level,
-                                    app,
-                                    n_ranks,
-                                    wend,
-                                    progress_lane,
-                                );
-                            }
-                        });
+                rayon::fork_join(slices.len(), |i| {
+                    let mut slice = slices[i]
+                        .lock()
+                        .expect("only this task locks its rank slice");
+                    for (mctx, (sched, outbox)) in slice.iter_mut() {
+                        Self::drain_rank(
+                            sched,
+                            mctx,
+                            mpi,
+                            reductions,
+                            outbox,
+                            level,
+                            app,
+                            n_ranks,
+                            wend,
+                            progress_lane,
+                        );
                     }
                 });
             }

@@ -11,23 +11,24 @@
 //!
 //! On the real SW26010 the 64 CPE tile loops run concurrently. The engine
 //! reproduces that with an [`ExecPolicy`]: under
-//! [`ExecPolicy::Parallel`] the per-CPE tile lists are claimed by a pool of
-//! host worker threads (one `rayon` task per worker), each owning its own
-//! [`TilePool`] — a private [`LdmAlloc`] plus staging buffers, exactly one
-//! simulated scratchpad per worker. Tiles write disjoint interior cells
-//! (validated before any parallel write), so the parallel result is
-//! bit-identical to [`ExecPolicy::Serial`], which runs CPE 0's tiles, then
-//! CPE 1's, ... on the calling thread.
+//! [`ExecPolicy::Parallel`] the per-CPE tile lists are claimed by
+//! `rayon::fork_join` tasks on the persistent host pool, each running on
+//! its thread's own [`TilePool`] — a private [`LdmAlloc`] plus staging
+//! buffers, exactly one simulated scratchpad per thread. Tiles write
+//! disjoint interior cells (validated before any parallel write), so the
+//! parallel result is bit-identical to [`ExecPolicy::Serial`], which runs
+//! CPE 0's tiles, then CPE 1's, ... on the calling thread.
 //!
 //! # Zero-allocation steady state
 //!
-//! Both policies stage tiles through pooled buffers sized once to the
-//! largest (ghosted) tile of the assignment; the per-tile loop performs no
-//! heap allocation. The budget discipline is unchanged: every tile still
-//! resets its worker's allocator and reserves its input + output working
-//! set, so an oversized tile fails with the same [`LdmOverflow`] the
-//! per-tile allocator raised.
+//! Both policies stage tiles through per-thread buffers kept across
+//! offloads and grown to the largest (ghosted) tile seen; once warm, an
+//! offload performs no heap allocation for tiles on any thread. The budget
+//! discipline is unchanged: every tile still resets its thread's allocator
+//! and reserves its input + output working set, so an oversized tile fails
+//! with the same [`LdmOverflow`] the per-tile allocator raised.
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 
 use sw_sim::{LdmAlloc, LdmOverflow};
@@ -385,22 +386,41 @@ fn is_exact_partition(dims: Dims3, assignment: &[Vec<TileDesc>]) -> bool {
     true
 }
 
-/// Per-worker reusable execution state: one simulated LDM allocator plus
-/// input/output staging buffers sized to the assignment's largest tile.
-/// After construction the tile loop allocates nothing.
+/// Per-thread reusable execution state: one simulated LDM allocator plus
+/// input/output staging buffers grown to the largest tile seen. Once warm,
+/// the tile loop allocates nothing.
 struct TilePool {
     ldm: LdmAlloc,
     buf_in: Vec<f64>,
     buf_out: Vec<f64>,
 }
 
+thread_local! {
+    /// This thread's simulated scratchpad, kept across offloads: a warm
+    /// thread stages tiles without touching the heap, whichever fork-join
+    /// index it happens to run.
+    static TILE_POOL: Cell<Option<TilePool>> = const { Cell::new(None) };
+}
+
 impl TilePool {
-    fn new(ldm_bytes: usize, max_in: usize, max_out: usize) -> Self {
-        TilePool {
-            ldm: LdmAlloc::new(ldm_bytes),
-            buf_in: vec![0.0; max_in],
-            buf_out: vec![0.0; max_out],
+    /// Run `f` on this thread's pool, with a fresh `args.ldm_bytes`
+    /// allocator and staging buffers grown to the assignment's largest tile.
+    fn with<T>(args: &RunArgs<'_, '_>, f: impl FnOnce(&mut TilePool) -> T) -> T {
+        let mut pool = TILE_POOL.take().unwrap_or_else(|| TilePool {
+            ldm: LdmAlloc::new(0),
+            buf_in: Vec::new(),
+            buf_out: Vec::new(),
+        });
+        pool.ldm = LdmAlloc::new(args.ldm_bytes);
+        if pool.buf_in.len() < args.max_in {
+            pool.buf_in.resize(args.max_in, 0.0);
         }
+        if pool.buf_out.len() < args.max_out {
+            pool.buf_out.resize(args.max_out, 0.0);
+        }
+        let r = f(&mut pool);
+        TILE_POOL.set(Some(pool));
+        r
     }
 
     /// Stage, compute, and write back one tile, reusing the pool's buffers.
@@ -454,9 +474,9 @@ struct SharedOut {
     dims: Dims3,
 }
 
-// SAFETY: the raw pointer refers to a `&mut [f64]` that outlives the scope
-// the workers run in (see `run_parallel`); sending the wrapper moves only
-// the pointer, never aliases the borrow.
+// SAFETY: the raw pointer refers to a `&mut [f64]` that outlives the
+// `fork_join` call the workers run in (see `run_parallel`); sending the
+// wrapper moves only the pointer, never aliases the borrow.
 unsafe impl Send for SharedOut {}
 // SAFETY: see the struct docs — concurrent access through a shared
 // `SharedOut` is restricted to non-overlapping writes of disjoint tiles,
@@ -567,64 +587,54 @@ fn athread_get(input: &Field3<'_>, t: &TileDesc, g: usize, ldm: &mut [f64]) {
 /// The serial engine: one pool, CPE lists in order, first error wins.
 fn run_serial(args: RunArgs<'_, '_>) -> Result<u64, LdmOverflow> {
     let out = SharedOut::of(args.output);
-    let mut pool = TilePool::new(args.ldm_bytes, args.max_in, args.max_out);
-    let mut tiles_run = 0;
-    for cpe_tiles in args.assignment {
-        for t in cpe_tiles {
-            pool.run_tile(&args, &out, t)?;
-            tiles_run += 1;
+    TilePool::with(&args, |pool| {
+        let mut tiles_run = 0;
+        for cpe_tiles in args.assignment {
+            for t in cpe_tiles {
+                pool.run_tile(&args, &out, t)?;
+                tiles_run += 1;
+            }
         }
-    }
-    Ok(tiles_run)
+        Ok(tiles_run)
+    })
 }
 
-/// The parallel engine: `workers` rayon tasks claim CPE tile lists from a
-/// shared counter; each worker owns a private [`TilePool`] (its simulated
-/// LDM). Requires `args.assignment` to be an exact partition of the output.
+/// The parallel engine: `workers` fork-join tasks claim CPE tile lists from
+/// a shared counter; each task runs on its thread's private [`TilePool`]
+/// (its simulated LDM). Requires `args.assignment` to be an exact partition
+/// of the output.
 fn run_parallel(args: RunArgs<'_, '_>) -> Result<u64, LdmOverflow> {
     let out = SharedOut::of(args.output);
     let next = AtomicUsize::new(0);
     let abort = AtomicBool::new(false);
-    let args_ref = &args;
-    let results: Vec<(u64, Option<(usize, LdmOverflow)>)> = rayon::scope(|s| {
-        let handles: Vec<_> = (0..args_ref.workers)
-            .map(|_| {
-                let (out, next, abort) = (&out, &next, &abort);
-                s.spawn(move || {
-                    let mut pool =
-                        TilePool::new(args_ref.ldm_bytes, args_ref.max_in, args_ref.max_out);
-                    let mut tiles_run = 0u64;
-                    let mut first_err: Option<(usize, LdmOverflow)> = None;
-                    while !abort.load(Ordering::Relaxed) {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(cpe_tiles) = args_ref.assignment.get(i) else {
-                            break;
-                        };
-                        for t in cpe_tiles {
-                            match pool.run_tile(args_ref, out, t) {
-                                Ok(()) => tiles_run += 1,
-                                Err(e) => {
-                                    // Stop this CPE list at its first failing
-                                    // tile, like the serial engine, and tell
-                                    // the other workers to wind down.
-                                    first_err = Some((i, e));
-                                    abort.store(true, Ordering::Relaxed);
-                                    break;
-                                }
-                            }
-                        }
-                        if first_err.is_some() {
+    let results = rayon::fork_join(args.workers, |_| {
+        TilePool::with(&args, |pool| {
+            let mut tiles_run = 0u64;
+            let mut first_err: Option<(usize, LdmOverflow)> = None;
+            while !abort.load(Ordering::Relaxed) {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some(cpe_tiles) = args.assignment.get(i) else {
+                    break;
+                };
+                for t in cpe_tiles {
+                    match pool.run_tile(&args, &out, t) {
+                        Ok(()) => tiles_run += 1,
+                        Err(e) => {
+                            // Stop this CPE list at its first failing tile,
+                            // like the serial engine, and tell the other
+                            // workers to wind down.
+                            first_err = Some((i, e));
+                            abort.store(true, Ordering::Relaxed);
                             break;
                         }
                     }
-                    (tiles_run, first_err)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("CPE worker panicked"))
-            .collect()
+                }
+                if first_err.is_some() {
+                    break;
+                }
+            }
+            (tiles_run, first_err)
+        })
     });
     let mut tiles = 0;
     let mut err: Option<(usize, LdmOverflow)> = None;

@@ -1,12 +1,13 @@
 //! Proof that the steady-state tile loop performs no per-tile heap
 //! allocation: executing the same patch through 16 tiles or 64 tiles costs
-//! the same number of allocations, because each worker's `TilePool` stages
-//! every tile through buffers sized once to the largest ghosted tile.
+//! the same number of allocations, because each thread's `TilePool` stages
+//! every tile through buffers grown once to the largest ghosted tile.
 //!
 //! Uses a counting `#[global_allocator]` that counts per thread, so other
 //! tests running concurrently cannot pollute a measurement. It sees the
-//! calling thread only: the parallel policy's workers run the same per-tile
-//! loop the serial measurement covers.
+//! calling thread only: under the parallel policy that thread runs
+//! fork-join tasks itself, through the same per-tile loop the pool's
+//! helpers run.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -128,8 +129,9 @@ fn tile_loop_is_zero_alloc_in_steady_state() {
     run_once(patch, &fine_plan, ExecPolicy::Serial, &input, &mut out);
 
     // Serial: 16 tiles vs 64 tiles over the same patch must allocate exactly
-    // the same number of times. One `TilePool` (allocator + two staging
-    // buffers) per call; nothing inside the per-tile loop touches the heap.
+    // the same number of times. The thread's `TilePool` (allocator + two
+    // staging buffers) is kept across calls; nothing inside the per-tile
+    // loop touches the heap.
     let coarse = allocs_of(|| run_once(patch, &coarse_plan, ExecPolicy::Serial, &input, &mut out));
     let fine = allocs_of(|| run_once(patch, &fine_plan, ExecPolicy::Serial, &input, &mut out));
     assert_eq!(
@@ -138,18 +140,20 @@ fn tile_loop_is_zero_alloc_in_steady_state() {
          the tile loop is allocating per tile"
     );
 
-    // Parallel: the calling thread's allocations (worker hand-off, result
-    // gathering) scale with workers, never with tile count. 48 extra tiles
-    // must not cost anywhere near even one extra allocation each.
+    // Parallel: the calling thread always runs fork-join index 0 and may
+    // claim more; every thread stages through its own warm `TilePool`, so
+    // the caller's count (job hand-off, result gathering) is fixed per call
+    // and independent of tile count and of which thread ran which index.
     let policy = ExecPolicy::Parallel { threads: 2 };
     run_once(patch, &coarse_plan, policy, &input, &mut out);
     run_once(patch, &fine_plan, policy, &input, &mut out);
-    let coarse_p = allocs_of(|| run_once(patch, &coarse_plan, policy, &input, &mut out));
-    let fine_p = allocs_of(|| run_once(patch, &fine_plan, policy, &input, &mut out));
-    let delta = fine_p.abs_diff(coarse_p);
-    assert!(
-        delta < 16,
-        "64-tile parallel run allocated {fine_p} vs {coarse_p} for 16 tiles \
-         (delta {delta}): allocations must not scale with tile count"
-    );
+    for _ in 0..8 {
+        let coarse_p = allocs_of(|| run_once(patch, &coarse_plan, policy, &input, &mut out));
+        let fine_p = allocs_of(|| run_once(patch, &fine_plan, policy, &input, &mut out));
+        assert_eq!(
+            coarse_p, fine_p,
+            "64-tile parallel run allocated {fine_p} times vs {coarse_p} for 16 \
+             tiles: allocations must not scale with tile count"
+        );
+    }
 }

@@ -19,7 +19,7 @@ use sw_mpi::CommConfig;
 use sw_resilience::FaultConfig;
 use sw_telemetry::analyze;
 use uintah_core::grid::iv;
-use uintah_core::{ExecMode, Level, RunConfig, RunReport, Simulation, Variant};
+use uintah_core::{ExecMode, ExecPolicy, Level, RunConfig, RunReport, Simulation, Variant};
 
 fn small_level() -> Level {
     Level::new(iv(6, 6, 6), iv(2, 2, 2))
@@ -186,6 +186,59 @@ fn repeated_two_thread_runs_match_serial_under_each_comm_config() {
                 serial,
                 "{name}: two-thread run {rep} diverged from the serial engine"
             );
+        }
+    }
+}
+
+/// Stress mode: K repeated two-thread PDES runs per config, each compared
+/// with the serial engine on the full `RunReport` and, for functional runs,
+/// every patch's final field bits. Covers a 16-CG model run (window drains on the fork-join
+/// pool) and a functional run whose ranks also fan their CPE tiles out
+/// over the pool, so tile tasks nest inside window tasks. Ignored by
+/// default; `ci.sh` runs it in release.
+#[test]
+#[ignore = "stress: run by ci.sh in release"]
+fn stress_repeated_two_thread_runs_match_serial() {
+    const K: usize = 10;
+    let model = Level::new(iv(32, 32, 64), iv(4, 4, 8));
+    let functional = Level::new(iv(8, 8, 8), iv(2, 2, 2));
+    let cases = [
+        (
+            "model 16-CG",
+            model,
+            ExecMode::Model,
+            16,
+            ExecPolicy::Serial,
+        ),
+        (
+            "functional, pooled tiles",
+            functional,
+            ExecMode::Functional,
+            4,
+            ExecPolicy::Parallel { threads: 2 },
+        ),
+    ];
+    for (name, level, mode, cgs, policy) in cases {
+        let run = |pdes: bool| {
+            let mut cfg = RunConfig::paper(Variant::ACC_SIMD_ASYNC, mode, cgs);
+            cfg.steps = 3;
+            cfg.pdes = pdes;
+            cfg.threads = pdes.then_some(2);
+            if pdes {
+                cfg.options.exec_policy = policy;
+            }
+            let app = Arc::new(BurgersApp::new(&level, ExpKind::Fast));
+            let mut sim = Simulation::new(level.clone(), app, cfg);
+            let report = sim.run();
+            // Model mode computes no fields, so only the report compares.
+            let fields = (mode == ExecMode::Functional).then(|| bits(&sim));
+            (format!("{report:?}"), fields)
+        };
+        let serial = run(false);
+        for rep in 0..K {
+            let pdes = run(true);
+            assert_eq!(pdes.0, serial.0, "{name}: run {rep} report diverged");
+            assert!(pdes.1 == serial.1, "{name}: run {rep} warehouse diverged");
         }
     }
 }
