@@ -127,6 +127,50 @@ impl PatchRun {
     }
 }
 
+/// Posted receives not yet harvested, ascending by handle (posting order).
+///
+/// A harvested slot is tombstoned in place, so claiming one completed
+/// handle is a binary search rather than a retain over the whole list; the
+/// list empties when its last live slot is claimed.
+#[derive(Debug, Default)]
+struct PendingRecvs {
+    /// `(handle, Some((plan.recvs index, stage)))`, `None` once harvested.
+    slots: Vec<(RecvHandle, Option<(usize, usize)>)>,
+    /// Slots not yet harvested.
+    live: usize,
+}
+
+impl PendingRecvs {
+    fn push(&mut self, h: RecvHandle, i: usize, stage: usize) {
+        debug_assert!(
+            self.slots.last().is_none_or(|&(last, _)| last < h),
+            "receive handles must be posted in ascending order"
+        );
+        self.slots.push((h, Some((i, stage))));
+        self.live += 1;
+    }
+
+    fn is_empty(&self) -> bool {
+        self.live == 0
+    }
+
+    /// Claim the live slot of `h`, searching from slot `from` on (a caller
+    /// claiming ascending handles passes the same cursor each time; it is
+    /// moved past the claimed slot). `None` if `h` was never posted or was
+    /// already claimed.
+    fn take(&mut self, h: RecvHandle, from: &mut usize) -> Option<(usize, usize)> {
+        let rest = self.slots.get(*from..)?;
+        let k = *from + rest.binary_search_by_key(&h, |&(slot, _)| slot).ok()?;
+        let claimed = self.slots[k].1.take()?;
+        self.live -= 1;
+        *from = k + 1;
+        if self.live == 0 {
+            self.slots.clear();
+        }
+        Some(claimed)
+    }
+}
+
 /// An in-flight asynchronous offload, tracked for completion *and* for the
 /// MPE's deadline detector (paper-style resilience: a dead CPE slot or a
 /// DMA error never sets the completion flag, so only a deadline can reap
@@ -216,9 +260,8 @@ pub struct RankSched {
     /// Forced timestep (AMR global dt); `None` = the application's stable dt.
     dt_override: Option<f64>,
     patch_state: BTreeMap<PatchId, PatchRun>,
-    /// Posted receives not yet harvested: `(handle, plan.recvs index,
-    /// stage)`, ascending by handle (posting order).
-    pending_recvs: Vec<(RecvHandle, usize, usize)>,
+    /// Posted receives not yet harvested.
+    pending_recvs: PendingRecvs,
     /// Reused buffer the completion queue is drained into.
     completed: Vec<RecvHandle>,
     pending_sends: Vec<SendHandle>,
@@ -302,7 +345,7 @@ impl RankSched {
             dt: 0.0,
             dt_override: None,
             patch_state: BTreeMap::new(),
-            pending_recvs: Vec::new(),
+            pending_recvs: PendingRecvs::default(),
             completed: Vec::new(),
             pending_sends: Vec::new(),
             prepped: std::collections::VecDeque::new(),
@@ -534,7 +577,7 @@ impl RankSched {
                     rv.face.opposite(),
                 );
                 let h = ctx.mpi.irecv(self.rank, rv.src_rank, tag);
-                self.pending_recvs.push((h, i, stage));
+                self.pending_recvs.push(h, i, stage);
             }
         }
         // Post sends of the old-DW ghost data (stage 0's input; the
@@ -716,8 +759,9 @@ impl RankSched {
 
     /// Process completed receives: drain the rank's completion queue and
     /// unpack each ghost payload into the warehouse, updating dependent
-    /// tasks. The queue and `pending_recvs` both ascend by handle, so the
-    /// receives are handled in posting order.
+    /// tasks. The queue ascends by handle, so the receives are handled in
+    /// posting order; each is found by binary search, so a harvest costs
+    /// O(completed · log pending), not a walk over every pending receive.
     fn harvest_recvs(
         &mut self,
         ctx: &mut StepCtx<'_>,
@@ -727,21 +771,16 @@ impl RankSched {
         let mut done = std::mem::take(&mut self.completed);
         ctx.mpi.take_completed(self.rank, &mut done);
         if !done.is_empty() {
-            let mut next = done.iter().copied().peekable();
-            let mut pending = std::mem::take(&mut self.pending_recvs);
-            pending.retain(|&(h, i, stage)| {
-                if next.next_if_eq(&h).is_none() {
-                    return true;
-                }
+            let mut from = 0;
+            for &h in &done {
+                let Some((i, stage)) = self.pending_recvs.take(h, &mut from) else {
+                    panic!(
+                        "rank {}: a receive completed that the scheduler never posted",
+                        self.rank
+                    );
+                };
                 cursor = self.unpack_recv(ctx, cursor, h, i, stage);
-                false
-            });
-            assert!(
-                next.next().is_none(),
-                "rank {}: a receive completed that the scheduler never posted",
-                self.rank
-            );
-            self.pending_recvs = pending;
+            }
             *progressed = true;
         }
         self.completed = done;
@@ -1618,5 +1657,233 @@ impl RankSched {
     ) -> SimTime {
         *cat(&mut self.stats.mpe) += d;
         machine.cg_mut(self.rank).mpe.consume(cursor, d)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::grid::{iv, Region};
+    use crate::lb::LoadBalancer;
+    use crate::task::plan::build_rank_plan;
+    use sw_athread::{cells, CpeTileKernel, TileCostModel, TileCtx};
+    use sw_mpi::MpiWorld;
+    use sw_sim::{Machine, MachineEvent};
+
+    /// A two-stage model-mode application: the harvest never runs it.
+    struct Idle;
+    impl CpeTileKernel for Idle {
+        fn ghost(&self) -> usize {
+            1
+        }
+        fn compute(&self, _ctx: &mut TileCtx<'_>) {}
+    }
+    impl TileCostModel for Idle {
+        fn ghost(&self) -> usize {
+            1
+        }
+        fn flops(&self, d: Dims3) -> u64 {
+            cells(d)
+        }
+        fn exp_flops(&self, _d: Dims3) -> u64 {
+            0
+        }
+        fn exp_calls(&self, _d: Dims3) -> u64 {
+            0
+        }
+    }
+    impl Application for Idle {
+        fn name(&self) -> &str {
+            "idle"
+        }
+        fn ghost(&self) -> i64 {
+            1
+        }
+        fn cost(&self) -> &dyn TileCostModel {
+            self
+        }
+        fn kernel(&self, _simd: bool) -> &dyn CpeTileKernel {
+            self
+        }
+        fn bc_flops_per_cell(&self) -> u64 {
+            1
+        }
+        fn stable_dt(&self, _level: &Level) -> f64 {
+            1.0
+        }
+        fn init(&self, _l: &Level, _region: &Region, _var: &mut CcVar) {}
+        fn fill_boundary(&self, _l: &Level, _region: &Region, _var: &mut CcVar, _t: f64) {}
+        fn stages(&self) -> usize {
+            2
+        }
+    }
+
+    /// The middle rank of a 3×3 patch grid, one patch per rank, with its
+    /// step-0 receives posted (four neighbours × two stages).
+    struct Fixture {
+        level: Level,
+        machine: Machine,
+        mpi: SharedMpi,
+        sched: RankSched,
+        merged: BTreeMap<u32, ModeledAllreduce>,
+        outbox: Vec<(u32, f64, SimTime)>,
+    }
+
+    const MID: usize = 4;
+
+    impl Fixture {
+        fn new() -> Self {
+            let level = Level::new(iv(12, 12, 4), iv(3, 3, 1));
+            let n = level.n_patches();
+            let assignment = LoadBalancer::Block.assign(&level, n);
+            let plan = build_rank_plan(&level, &assignment, MID, 1);
+            let cfg = MachineConfig::sw26010();
+            let sched = RankSched::new(
+                MID,
+                Variant::ACC_ASYNC,
+                ExecMode::Model,
+                SchedulerOptions::default(),
+                plan,
+                &level,
+                cfg.cpes_per_cg,
+                1,
+            );
+            let mut f = Fixture {
+                machine: Machine::new(cfg, n),
+                mpi: SharedMpi::new(MpiWorld::new(n)),
+                level,
+                sched,
+                merged: BTreeMap::new(),
+                outbox: Vec::new(),
+            };
+            f.with_ctx(|sched, ctx| sched.init_run(ctx));
+            f
+        }
+
+        fn with_ctx<R>(&mut self, f: impl FnOnce(&mut RankSched, &mut StepCtx<'_>) -> R) -> R {
+            let n_ranks = self.level.n_patches();
+            let mut ctx = StepCtx {
+                machine: self.machine.ctx(MID),
+                mpi: &self.mpi,
+                reduce: ReduceCtx {
+                    merged: &self.merged,
+                    outbox: &mut self.outbox,
+                },
+                level: &self.level,
+                app: &Idle,
+                n_ranks,
+            };
+            f(&mut self.sched, &mut ctx)
+        }
+
+        /// Send the ghost message receive `h` waits for and land it.
+        fn deliver(&mut self, h: RecvHandle, i: usize, stage: usize) {
+            let rv = self.sched.plan.recvs[i];
+            let tag = ghost_tag(
+                0,
+                stage,
+                2,
+                self.level.n_patches(),
+                rv.src_patch,
+                rv.face.opposite(),
+            );
+            let now = self.machine.now();
+            let src = rv.src_rank;
+            self.mpi
+                .isend(&mut self.machine.ctx(src), src, MID, tag, 8, None, now);
+            while let Some((_, ev)) = self.machine.pop() {
+                if let MachineEvent::NetDeliver { token, .. } = ev {
+                    self.mpi.on_wire(token);
+                }
+            }
+            assert!(!self.mpi.recv_done(h), "visible only after progress");
+        }
+
+        /// Progress the middle rank and harvest what completed.
+        fn harvest(&mut self) -> bool {
+            let now = self.machine.now();
+            self.with_ctx(|sched, ctx| {
+                ctx.mpi.progress(MID, &mut ctx.machine, now);
+                let mut progressed = false;
+                sched.harvest_recvs(ctx, now, &mut progressed);
+                progressed
+            })
+        }
+    }
+
+    #[test]
+    fn harvest_finds_receives_completed_out_of_posting_order() {
+        let mut f = Fixture::new();
+        let posted: Vec<(RecvHandle, usize, usize)> = f
+            .sched
+            .pending_recvs
+            .slots
+            .iter()
+            .map(|&(h, slot)| {
+                let (i, stage) = slot.expect("nothing harvested yet");
+                (h, i, stage)
+            })
+            .collect();
+        assert_eq!(posted.len(), 8, "four neighbours, two stages");
+        assert!(
+            posted.windows(2).all(|p| p[0].0 < p[1].0),
+            "posting order ascends"
+        );
+        // Complete one at a time in an order unrelated to posting, then the
+        // last two together (one harvest, ascending handles).
+        let order = [5, 0, 7, 2, 6, 1, 3, 4];
+        for (done, &k) in order[..6].iter().enumerate() {
+            let (h, i, stage) = posted[k];
+            let dst = f.sched.plan.recvs[i].dst_patch;
+            let before = f.sched.patch_state[&dst].recvs_by_stage[stage];
+            f.deliver(h, i, stage);
+            assert!(f.harvest(), "a completed receive counts as progress");
+            assert_eq!(f.sched.pending_recvs.live, 8 - done - 1);
+            assert_eq!(
+                f.sched.pending_recvs.slots.len(),
+                8,
+                "harvested slots are tombstoned in place"
+            );
+            let slot = f.sched.pending_recvs.slots.iter().find(|s| s.0 == h);
+            assert_eq!(slot.and_then(|s| s.1), None, "slot {k} claimed");
+            assert_eq!(
+                f.sched.patch_state[&dst].recvs_by_stage[stage],
+                before - 1,
+                "the dependent stage was released"
+            );
+            assert!(f.mpi.recv_done(h));
+        }
+        assert!(!f.harvest(), "nothing new completed");
+        for &k in &order[6..] {
+            let (h, i, stage) = posted[k];
+            f.deliver(h, i, stage);
+        }
+        assert!(f.harvest());
+        assert!(f.sched.pending_recvs.is_empty());
+        assert!(
+            f.sched.pending_recvs.slots.is_empty(),
+            "tombstones dropped once nothing is live"
+        );
+        assert_eq!(f.sched.stats.ghosts_received, 8);
+        assert_eq!(f.mpi.handle_map_sizes().1, 0, "every handle retired");
+    }
+
+    #[test]
+    #[should_panic(expected = "never posted")]
+    fn harvest_rejects_a_receive_the_scheduler_never_posted() {
+        let mut f = Fixture::new();
+        // Far above every step-0 ghost tag, so no posted receive matches.
+        let tag = 1 << 40;
+        let stray = f.mpi.irecv(MID, 1, tag);
+        let now = f.machine.now();
+        f.mpi
+            .isend(&mut f.machine.ctx(1), 1, MID, tag, 8, None, now);
+        while let Some((_, ev)) = f.machine.pop() {
+            if let MachineEvent::NetDeliver { token, .. } = ev {
+                f.mpi.on_wire(token);
+            }
+        }
+        f.harvest();
+        unreachable!("{stray:?} was harvested");
     }
 }

@@ -45,7 +45,8 @@
 //! delivery time, relaxing the progression-requires-host rule as a modeled
 //! machine variant.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 use sw_resilience::{fold, FaultPlan, FaultStats, MsgFault, MsgKey};
@@ -92,10 +93,42 @@ pub type EndpointId = u32;
 /// [`CommConfig::route`]); mirrors the fault plane's `D_*` constants.
 const D_ENDPOINT: u64 = 0x4550_4f49_4e54; // "EPOINT"
 
-/// How often (in `progress` calls) completed-and-consumed receive handles
-/// are compacted away. Bounds the handle maps on long campaigns without
-/// paying a retain-scan on every poll.
+/// How often (in a rank's own `progress` calls) that rank's
+/// completed-and-consumed receive handles are compacted away. Bounds the
+/// handle tables on long campaigns without paying a retain-scan on every
+/// poll.
 const COMPACT_CADENCE: u64 = 64;
+
+/// Deterministic integer hasher for the per-rank tables (FxHash's
+/// rotate-xor-multiply round). Keys are sequence numbers and `(rank, tag)`
+/// pairs minted by the library itself, so no flood resistance is needed,
+/// and a fixed hasher makes a table's layout a function of its call
+/// sequence alone. Nothing reads the tables in iteration order anyway.
+#[derive(Clone, Copy, Default)]
+struct SeqHasher(u64);
+
+impl Hasher for SeqHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        self.0 = (self.0.rotate_left(5) ^ x).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+
+    fn write_usize(&mut self, x: usize) {
+        self.write_u64(x as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A per-rank table with O(1) lookup under [`SeqHasher`].
+type SeqMap<K, V> = HashMap<K, V, BuildHasherDefault<SeqHasher>>;
 
 /// Communication-layer tuning knobs (multi-endpoint MPI, message
 /// aggregation, eager/rendezvous crossover, dedicated progress lane).
@@ -268,28 +301,30 @@ struct StageBuf {
 #[derive(Debug)]
 pub struct MpiWorld {
     n: usize,
-    msgs: BTreeMap<u64, Msg>,
-    recvs: BTreeMap<u64, RecvReq>,
-    /// Per-rank index of in-flight message ids the rank may need to act on
-    /// (as sender or receiver); keeps `progress` proportional to live
-    /// traffic rather than run history.
-    active: Vec<BTreeSet<u64>>,
+    /// Live messages, one table per rank: a message sits in its *sender's*
+    /// table, keyed by the sequence number of its id (`id = src + n * seq`).
+    /// Every lookup is O(1), and a rank's own sends are one table scan.
+    msgs: Vec<SeqMap<u64, Msg>>,
+    /// Live receives, in the table of the rank that posted them, keyed by
+    /// the sequence number of the receive id (`id = rank + n * seq`).
+    recvs: Vec<SeqMap<u64, RecvReq>>,
     /// Per-rank ready index: ids of messages whose next protocol step is
     /// this rank's to take ([`Msg::actor`]). Fed at the state transitions
     /// (wire arrivals, a dropped injection) by appending, and rebuilt by the
-    /// owner's `progress`, which sorts it and walks it in ascending id
-    /// instead of `active`, keeping only the ids still waiting on the rank.
-    /// A progress call thus costs the work that became possible, not the
-    /// rank's live traffic. Entries whose message moved on through the
-    /// other side's calls stay until the owner's walk drops them.
+    /// owner's `progress`, which sorts it and walks it in ascending id,
+    /// keeping only the ids still waiting on the rank. A progress call thus
+    /// costs the work that became possible, not the rank's live traffic.
+    /// Entries whose message moved on through the other side's calls stay
+    /// until the owner's walk drops them.
     ready: Vec<Vec<u64>>,
     /// Per-rank receive-completion queue: receive ids `progress` completed
     /// and the rank has not yet drained with [`MpiWorld::take_completed`].
     completed: Vec<Vec<u64>>,
     /// Spare buffer `progress` swaps with the ready index it walks.
     walk: Vec<u64>,
-    /// Unmatched posted receives, FIFO per (dst, src, tag).
-    posted: BTreeMap<(Rank, Rank, Tag), std::collections::VecDeque<u64>>,
+    /// Unmatched posted receives, one table per destination rank, FIFO
+    /// per `(src, tag)` channel.
+    posted: Vec<SeqMap<(Rank, Tag), VecDeque<u64>>>,
     /// Per-source message-id sequence counters. Ids are drawn from
     /// per-rank namespaces (`id = src + n * seq`) so that concurrently
     /// advancing shards mint identical ids regardless of interleaving —
@@ -310,17 +345,19 @@ pub struct MpiWorld {
     faults: Option<Arc<FaultPlan>>,
     /// Communication-layer knobs (endpoints, aggregation, crossover).
     comm: CommConfig,
-    /// Aggregation staging buffers, keyed `(src, dst, endpoint)`. Only the
-    /// source rank's calls touch its own buffers, so concurrent shards'
-    /// calls commute (see [`SharedMpi`]).
-    stage: BTreeMap<(Rank, Rank, EndpointId), StageBuf>,
-    /// Coalesced batches in flight: batch id → member ids in push order.
-    /// Batch ids are minted from the sender's message-id namespace, so
-    /// they never collide with plain message ids.
-    batches: BTreeMap<u64, Vec<u64>>,
-    /// Progress calls since the last cadenced compaction (satellite of the
-    /// unbounded-handle-map fix: compaction must not wait for quiescence).
-    calls_since_compact: u64,
+    /// Aggregation staging buffers, one map per source rank keyed
+    /// `(dst, endpoint)`; the ordered map fixes the order deadline flushes
+    /// mint their batch ids in. Only the source rank's calls touch its own
+    /// buffers, so concurrent shards' calls commute (see [`SharedMpi`]).
+    stage: Vec<BTreeMap<(Rank, EndpointId), StageBuf>>,
+    /// Coalesced batches in flight: member ids in push order, in the
+    /// sender's table keyed by the batch's sequence number. Batch ids are
+    /// minted from the sender's message-id namespace, so they never collide
+    /// with plain message ids.
+    batches: Vec<SeqMap<u64, Vec<u64>>>,
+    /// Per-rank count of the rank's own `progress` calls since its last
+    /// cadenced compaction.
+    calls_since_compact: Vec<u64>,
 }
 
 /// Decode a wire token into (message id, phase).
@@ -351,13 +388,12 @@ impl MpiWorld {
         assert!(n >= 1);
         MpiWorld {
             n,
-            msgs: BTreeMap::new(),
-            recvs: BTreeMap::new(),
-            active: vec![BTreeSet::new(); n],
+            msgs: (0..n).map(|_| SeqMap::default()).collect(),
+            recvs: (0..n).map(|_| SeqMap::default()).collect(),
             ready: vec![Vec::new(); n],
             completed: vec![Vec::new(); n],
             walk: Vec::new(),
-            posted: BTreeMap::new(),
+            posted: (0..n).map(|_| SeqMap::default()).collect(),
             next_msg: vec![0; n],
             next_recv: vec![0; n],
             sends_posted: 0,
@@ -365,10 +401,29 @@ impl MpiWorld {
             rec: Recorder::off(),
             faults: None,
             comm: CommConfig::default(),
-            stage: BTreeMap::new(),
-            batches: BTreeMap::new(),
-            calls_since_compact: 0,
+            stage: (0..n).map(|_| BTreeMap::new()).collect(),
+            batches: (0..n).map(|_| SeqMap::default()).collect(),
+            calls_since_compact: vec![0; n],
         }
+    }
+
+    /// The rank whose namespace minted `id`, and the id's sequence number
+    /// in it: the table and key the id is stored under.
+    fn split(&self, id: u64) -> (Rank, u64) {
+        let n = self.n as u64;
+        ((id % n) as Rank, id / n)
+    }
+
+    /// A live message by id.
+    fn msg(&self, id: u64) -> Option<&Msg> {
+        let (src, seq) = self.split(id);
+        self.msgs[src].get(&seq)
+    }
+
+    /// A live message by id, mutably.
+    fn msg_mut(&mut self, id: u64) -> Option<&mut Msg> {
+        let (src, seq) = self.split(id);
+        self.msgs[src].get_mut(&seq)
     }
 
     /// Thread a telemetry recorder through the protocol events.
@@ -444,7 +499,8 @@ impl MpiWorld {
             tag < APP_TAG_LIMIT,
             "tag {tag:#x} lies in the reserved control-plane namespace (>= {APP_TAG_LIMIT:#x})"
         );
-        let id = src as u64 + self.n as u64 * self.next_msg[src];
+        let seq = self.next_msg[src];
+        let id = src as u64 + self.n as u64 * seq;
         assert!(
             id <= MAX_MSG_ID,
             "message id space exhausted: wire tokens would alias"
@@ -495,8 +551,8 @@ impl MpiWorld {
             );
             (MsgState::RtsInFlight, false)
         };
-        self.msgs.insert(
-            id,
+        self.msgs[src].insert(
+            seq,
             Msg {
                 src,
                 dst,
@@ -512,8 +568,6 @@ impl MpiWorld {
                 deadline: None,
             },
         );
-        self.active[src].insert(id);
-        self.active[dst].insert(id);
         if aggregate {
             self.stage_push(machine, id, when);
         } else if eager {
@@ -526,12 +580,11 @@ impl MpiWorld {
     /// flushing immediately if the byte threshold is crossed.
     fn stage_push(&mut self, machine: &mut MachineCtx<'_>, id: u64, when: SimTime) {
         let (src, dst, ep, bytes) = {
-            let m = &self.msgs[&id];
+            let m = self.msg(id).expect("staged message vanished");
             (m.src, m.dst, m.endpoint, m.bytes)
         };
-        let buf = self
-            .stage
-            .entry((src, dst, ep))
+        let buf = self.stage[src]
+            .entry((dst, ep))
             .or_insert_with(|| StageBuf {
                 members: Vec::new(),
                 bytes: 0,
@@ -552,7 +605,7 @@ impl MpiWorld {
             },
         );
         if full {
-            self.flush_stage(machine, (src, dst, ep), when, "bytes");
+            self.flush_stage(machine, src, (dst, ep), when, "bytes");
         }
     }
 
@@ -562,22 +615,24 @@ impl MpiWorld {
     fn flush_stage(
         &mut self,
         machine: &mut MachineCtx<'_>,
-        key: (Rank, Rank, EndpointId),
+        src: Rank,
+        key: (Rank, EndpointId),
         when: SimTime,
         reason: &'static str,
     ) {
-        let Some(buf) = self.stage.remove(&key) else {
+        let Some(buf) = self.stage[src].remove(&key) else {
             return;
         };
-        let (src, dst, ep) = key;
-        let batch = src as u64 + self.n as u64 * self.next_msg[src];
+        let (dst, ep) = key;
+        let seq = self.next_msg[src];
+        let batch = src as u64 + self.n as u64 * seq;
         assert!(
             batch <= MAX_MSG_ID,
             "message id space exhausted: wire tokens would alias"
         );
         self.next_msg[src] += 1;
         for &id in &buf.members {
-            let m = self.msgs.get_mut(&id).unwrap();
+            let m = self.msg_mut(id).expect("staged member vanished");
             debug_assert_eq!(m.state, MsgState::Staged);
             m.state = MsgState::DataInFlight;
         }
@@ -599,27 +654,22 @@ impl MpiWorld {
                 reason,
             },
         );
-        self.batches.insert(batch, buf.members);
+        self.batches[src].insert(seq, buf.members);
     }
 
     /// Messages currently parked in `rank`'s staging buffers. The
     /// scheduler must not end a step while this is non-zero.
     pub fn staged(&self, rank: Rank) -> usize {
-        self.stage
-            .iter()
-            .filter(|((src, _, _), _)| *src == rank)
-            .map(|(_, b)| b.members.len())
-            .sum()
+        self.stage[rank].values().map(|b| b.members.len()).sum()
     }
 
     /// The earliest deadline flush among `rank`'s staging buffers — the
     /// scheduler arranges an MPE wakeup for it so the flush path runs even
     /// when no other event would wake the rank.
     pub fn next_flush_at(&self, rank: Rank) -> Option<SimTime> {
-        self.stage
-            .iter()
-            .filter(|((src, _, _), _)| *src == rank)
-            .map(|(_, b)| b.opened_at + SimDur(self.comm.agg_deadline_ps))
+        self.stage[rank]
+            .values()
+            .map(|b| b.opened_at + SimDur(self.comm.agg_deadline_ps))
             .min()
     }
 
@@ -629,7 +679,7 @@ impl MpiWorld {
     /// delivery after the retry budget is exhausted.
     fn inject_data(&mut self, machine: &mut MachineCtx<'_>, id: u64, when: SimTime, forced: bool) {
         let (src, dst, bytes, tag, eager, attempt, ep) = {
-            let m = &self.msgs[&id];
+            let m = self.msg(id).expect("injecting a retired message");
             (m.src, m.dst, m.bytes, m.tag, m.eager, m.attempt, m.endpoint)
         };
         // Eager messages occupy at least a control packet on the wire.
@@ -646,7 +696,9 @@ impl MpiWorld {
                 })
             })
         };
-        let m = self.msgs.get_mut(&id).unwrap();
+        let m = self.msgs[src]
+            .get_mut(&(id / self.n as u64))
+            .expect("injecting a retired message");
         match fault {
             Some(MsgFault::Drop) => {
                 // Nothing reaches the wire. Arm the sender's resend timer.
@@ -724,10 +776,8 @@ impl MpiWorld {
     /// made for that side (see [`SharedMpi`]). A stale entry is pruned by
     /// its owner's next `progress`.
     fn retire_msg(&mut self, id: u64) {
-        if let Some(m) = self.msgs.remove(&id) {
-            self.active[m.src].remove(&id);
-            self.active[m.dst].remove(&id);
-        }
+        let (src, seq) = self.split(id);
+        self.msgs[src].remove(&seq);
     }
 
     /// Whether `id` was ever minted by `isend` (or a batch flush): ids are
@@ -735,8 +785,8 @@ impl MpiWorld {
     /// complete O(1) record of every id handed out — an unknown-but-minted
     /// id on the wire can only be a late duplicate of a retired message.
     fn was_minted(&self, id: u64) -> bool {
-        let src = (id % self.n as u64) as usize;
-        id / (self.n as u64) < self.next_msg[src]
+        let (src, seq) = self.split(id);
+        seq < self.next_msg[src]
     }
 
     /// Post a non-blocking receive for a message from `src` with `tag`.
@@ -746,18 +796,19 @@ impl MpiWorld {
             tag < APP_TAG_LIMIT,
             "tag {tag:#x} lies in the reserved control-plane namespace (>= {APP_TAG_LIMIT:#x})"
         );
-        let id = rank as u64 + self.n as u64 * self.next_recv[rank];
+        let seq = self.next_recv[rank];
+        let id = rank as u64 + self.n as u64 * seq;
         self.next_recv[rank] += 1;
-        self.recvs.insert(
-            id,
+        self.recvs[rank].insert(
+            seq,
             RecvReq {
                 complete: false,
                 taken: false,
                 payload: None,
             },
         );
-        self.posted
-            .entry((rank, src, tag))
+        self.posted[rank]
+            .entry((src, tag))
             .or_default()
             .push_back(id);
         RecvHandle(id)
@@ -769,13 +820,14 @@ impl MpiWorld {
     pub fn on_wire(&mut self, token: u64) {
         let (id, phase) = decode(token);
         if phase == PH_DATA {
-            if let Some(members) = self.batches.remove(&id) {
+            let (src, seq) = self.split(id);
+            if let Some(members) = self.batches[src].remove(&seq) {
                 // A coalesced packet landed: every member becomes visible
                 // in push order (ascending id per source, so FIFO matching
                 // order is exactly the senders' program order).
                 for m in members {
                     debug_assert_eq!(
-                        self.msgs.get(&m).expect("batch member vanished").state,
+                        self.msg(m).expect("batch member vanished").state,
                         MsgState::DataInFlight
                     );
                     self.arrive(m, MsgState::DataArrived);
@@ -786,7 +838,7 @@ impl MpiWorld {
         if self.faults.is_some() {
             // Reliable mode: duplicates, late copies, and acks are part of
             // the protocol rather than errors.
-            if !self.msgs.contains_key(&id) {
+            let Some(state) = self.msg(id).map(|m| m.state) else {
                 assert!(self.was_minted(id), "wire token for unknown message {id}");
                 // A late duplicate (or redundant resend) of a message whose
                 // ack already landed: suppressed exactly like a live dup.
@@ -795,8 +847,7 @@ impl MpiWorld {
                     FaultStats::bump(&plan.stats.duplicates_suppressed);
                 }
                 return;
-            }
-            let state = self.msgs[&id].state;
+            };
             match (phase, state) {
                 (PH_RTS, MsgState::RtsInFlight) => self.arrive(id, MsgState::RtsArrived),
                 (PH_CTS, MsgState::CtsInFlight) => self.arrive(id, MsgState::CtsArrived),
@@ -821,10 +872,7 @@ impl MpiWorld {
             }
             return;
         }
-        let m = self
-            .msgs
-            .get_mut(&id)
-            .expect("wire token for unknown message");
+        let m = self.msg_mut(id).expect("wire token for unknown message");
         m.state = match (phase, m.state) {
             (PH_RTS, MsgState::RtsInFlight) => MsgState::RtsArrived,
             (PH_CTS, MsgState::CtsInFlight) => MsgState::CtsArrived,
@@ -841,10 +889,7 @@ impl MpiWorld {
     /// the rank whose `progress` acts next. Every arrival is delivered at
     /// that rank's NIC, so the write stays on the delivering rank's side.
     fn arrive(&mut self, id: u64, state: MsgState) {
-        let m = self
-            .msgs
-            .get_mut(&id)
-            .expect("arrival for a retired message");
+        let m = self.msg_mut(id).expect("arrival for a retired message");
         m.state = state;
         let actor = m
             .actor()
@@ -878,14 +923,14 @@ impl MpiWorld {
         // ages out here.
         if self.comm.aggregation() {
             let deadline = SimDur(self.comm.agg_deadline_ps);
-            let due: Vec<(Rank, Rank, EndpointId)> = self
-                .stage
+            // Ascending `(dst, endpoint)`: each flush mints a batch id.
+            let due: Vec<(Rank, EndpointId)> = self.stage[rank]
                 .iter()
-                .filter(|((src, _, _), buf)| *src == rank && buf.opened_at + deadline <= now)
+                .filter(|(_, buf)| buf.opened_at + deadline <= now)
                 .map(|(&key, _)| key)
                 .collect();
             for key in due {
-                self.flush_stage(machine, key, now, "deadline");
+                self.flush_stage(machine, rank, key, now, "deadline");
                 actions += 1;
             }
         }
@@ -893,9 +938,10 @@ impl MpiWorld {
         // MPI-FIFO matching order. Every live message left out of the
         // index is one this loop would pass over untouched.
         debug_assert!(
-            self.active[rank]
-                .iter()
-                .all(|id| self.msgs[id].actor() != Some(rank) || self.ready[rank].contains(id)),
+            self.msgs.iter().flat_map(|t| t.iter()).all(|(&seq, m)| {
+                m.actor() != Some(rank)
+                    || self.ready[rank].contains(&(m.src as u64 + self.n as u64 * seq))
+            }),
             "rank {rank}: a message awaiting its action is missing from the ready index"
         );
         // The rank's index becomes the walk; the spare buffer takes its
@@ -905,7 +951,7 @@ impl MpiWorld {
         walk.sort_unstable();
         walk.dedup();
         for &id in &walk {
-            let Some(m) = self.msgs.get(&id) else {
+            let Some(m) = self.msg(id) else {
                 // Retired on the other side's behalf (its ack landed).
                 continue;
             };
@@ -924,9 +970,10 @@ impl MpiWorld {
                     // Match (or use an existing match) and grant the send.
                     let recv = matched.or_else(|| self.match_recv(dst, src, tag));
                     if let Some(r) = recv {
-                        self.msgs.get_mut(&id).unwrap().matched_recv = Some(r);
+                        let m = self.msg_mut(id).expect("walked message is live");
+                        m.matched_recv = Some(r);
+                        m.state = MsgState::CtsInFlight;
                         machine.net_send_ep(dst, src, CTRL_BYTES, now, encode(id, PH_CTS), ep);
-                        self.msgs.get_mut(&id).unwrap().state = MsgState::CtsInFlight;
                         self.rec
                             .record(dst, now.0, lane, Event::CtsSent { msg: id, peer: src });
                         actions += 1;
@@ -938,7 +985,7 @@ impl MpiWorld {
                     // Rendezvous grant: payload through the fault plane
                     // (a dropped injection re-indexes the message).
                     self.inject_data(machine, id, now, false);
-                    let m = self.msgs.get_mut(&id).unwrap();
+                    let m = self.msg_mut(id).expect("walked message is live");
                     // Rendezvous send buffer is released once injected (a
                     // dropped injection still buffers for resend).
                     m.send_complete = true;
@@ -948,7 +995,7 @@ impl MpiWorld {
                     // Reliable mode: the sender's ack deadline expired —
                     // detect and resend with exponential backoff, or force
                     // delivery once the retry budget is spent.
-                    let deadline = self.msgs[&id].deadline.expect("lost msg without deadline");
+                    let deadline = m.deadline.expect("lost msg without deadline");
                     if now < deadline {
                         self.ready[rank].push(id);
                     } else {
@@ -964,7 +1011,7 @@ impl MpiWorld {
                             },
                         );
                         let attempt = {
-                            let m = self.msgs.get_mut(&id).unwrap();
+                            let m = self.msg_mut(id).expect("walked message is live");
                             m.attempt += 1;
                             m.attempt
                         };
@@ -986,13 +1033,15 @@ impl MpiWorld {
                 MsgState::DataArrived if dst == rank => {
                     let recv = matched.or_else(|| self.match_recv(dst, src, tag));
                     if let Some(r) = recv {
-                        let m = self.msgs.get_mut(&id).unwrap();
+                        let m = self.msg_mut(id).expect("walked message is live");
                         m.matched_recv = Some(r);
                         m.state = MsgState::Consumed;
                         let payload = m.payload.take();
                         let attempt = m.attempt;
                         debug_assert!(eager || m.send_complete);
-                        let req = self.recvs.get_mut(&r).unwrap();
+                        let req = self.recvs[rank]
+                            .get_mut(&(r / self.n as u64))
+                            .expect("matched receive is live until completed");
                         req.complete = true;
                         req.payload = payload;
                         self.completed[rank].push(r);
@@ -1025,10 +1074,11 @@ impl MpiWorld {
                                     },
                                 );
                             }
-                            self.msgs.get_mut(&id).unwrap().state = MsgState::AckWait;
+                            self.msg_mut(id).expect("walked message is live").state =
+                                MsgState::AckWait;
                             machine.net_send_ep(dst, src, CTRL_BYTES, now, encode(id, PH_ACK), ep);
                         } else {
-                            // Fully finished: retire from the live indexes
+                            // Fully finished: retire from the live table
                             // (the eager/rendezvous send side is complete
                             // by now).
                             self.retire_msg(id);
@@ -1055,28 +1105,28 @@ impl MpiWorld {
         if let Some(m) = self.rec.metrics() {
             m.progress_calls.inc();
         }
-        // Cadenced compaction (bugfix: this used to run only at quiescence,
-        // so long campaigns grew the receive-handle map without bound).
-        // Compaction only drops handles whose payload was already consumed
-        // — observably a no-op for every caller — so the shared cadence
-        // counter does not break the commuting-calls property.
-        self.calls_since_compact += 1;
-        if self.calls_since_compact >= COMPACT_CADENCE {
-            self.calls_since_compact = 0;
-            self.compact();
+        // Cadenced compaction of this rank's own receives: waiting for
+        // quiescence would let long campaigns grow the receive table without
+        // bound. The cadence counts the rank's own calls and only its table
+        // is touched, so the cost follows the rank's traffic and the calls
+        // of different ranks still commute.
+        self.calls_since_compact[rank] += 1;
+        if self.calls_since_compact[rank] >= COMPACT_CADENCE {
+            self.calls_since_compact[rank] = 0;
+            self.compact_rank(rank);
         }
         actions
     }
 
     /// Pop the oldest unmatched posted receive on `rank` for `(src, tag)`.
     fn match_recv(&mut self, rank: Rank, src: Rank, tag: Tag) -> Option<u64> {
-        let key = (rank, src, tag);
-        let q = self.posted.get_mut(&key)?;
+        let table = &mut self.posted[rank];
+        let q = table.get_mut(&(src, tag))?;
         let id = q.pop_front()?;
         if q.is_empty() {
             // Drop the drained channel: ghost tags are per step, so empty
-            // queues kept around would grow the map with run history.
-            self.posted.remove(&key);
+            // queues kept around would grow the table with run history.
+            table.remove(&(src, tag));
         }
         Some(id)
     }
@@ -1084,14 +1134,15 @@ impl MpiWorld {
     /// Has this send's buffer been handed to the network? (Observable only
     /// after a `progress` call on the sending rank, as in real MPI `Test`.)
     pub fn send_done(&self, h: SendHandle) -> bool {
-        self.msgs.get(&h.0).is_none_or(|m| m.send_complete)
+        self.msg(h.0).is_none_or(|m| m.send_complete)
     }
 
     /// Has this receive completed? A handle that was already retired or
     /// compacted away reports `true` — only completed-and-consumed
     /// receives ever leave the map.
     pub fn recv_done(&self, h: RecvHandle) -> bool {
-        self.recvs.get(&h.0).is_none_or(|r| r.complete)
+        let (rank, seq) = self.split(h.0);
+        self.recvs[rank].get(&seq).is_none_or(|r| r.complete)
     }
 
     /// Drain the receives `progress` completed on `rank` since the last
@@ -1112,7 +1163,8 @@ impl MpiWorld {
     /// # Panics
     /// Panics if the receive has not completed.
     pub fn take_payload(&mut self, h: RecvHandle) -> Option<Vec<f64>> {
-        let r = self.recvs.get_mut(&h.0).expect("unknown recv");
+        let (rank, seq) = self.split(h.0);
+        let r = self.recvs[rank].get_mut(&seq).expect("unknown recv");
         assert!(r.complete, "take_payload before completion");
         r.taken = true;
         r.payload.take()
@@ -1130,39 +1182,36 @@ impl MpiWorld {
     /// Agreement contract with `take_payload`/`retire_recv` (bugfix): a
     /// probe hit is a message an `irecv` + `progress` on this rank will
     /// deliver, take, and retire — states a suppressed duplicate can reach
-    /// (`Consumed`, `AckWait`) are never reported, and the scan covers the
-    /// live index only, so a retired message can never probe positive off
-    /// stale bookkeeping.
+    /// (`Consumed`, `AckWait`) are never reported, and the scan covers
+    /// `src`'s live send table only, so a retired message can never probe
+    /// positive off stale bookkeeping.
     pub fn iprobe(&self, rank: Rank, src: Rank, tag: Tag) -> bool {
-        self.active[rank].iter().any(|id| {
-            self.msgs.get(id).is_some_and(|m| {
-                m.dst == rank
-                    && m.src == src
-                    && m.tag == tag
-                    && m.matched_recv.is_none()
-                    && matches!(m.state, MsgState::RtsArrived | MsgState::DataArrived)
-            })
+        self.msgs[src].values().any(|m| {
+            m.dst == rank
+                && m.tag == tag
+                && m.matched_recv.is_none()
+                && matches!(m.state, MsgState::RtsArrived | MsgState::DataArrived)
         })
     }
 
     /// Messages still live (in flight or awaiting consumption) that involve
-    /// `rank` as sender or receiver.
+    /// `rank` as sender or receiver. Scans every rank's table.
     pub fn outstanding(&self, rank: Rank) -> usize {
-        self.active[rank].len()
+        self.msgs
+            .iter()
+            .flat_map(|t| t.values())
+            .filter(|m| m.src == rank || m.dst == rank)
+            .count()
     }
 
     /// Reliable mode: sends from `rank` whose delivery has not yet been
     /// acknowledged (including dropped payloads awaiting resend). A rank
     /// must not end its step while this is non-zero, or a lost payload
-    /// could strand its receiver forever.
+    /// could strand its receiver forever. Scans `rank`'s own send table.
     pub fn unacked(&self, rank: Rank) -> usize {
-        self.active[rank]
-            .iter()
-            .filter(|id| {
-                self.msgs
-                    .get(id)
-                    .is_some_and(|m| m.src == rank && !matches!(m.state, MsgState::Consumed))
-            })
+        self.msgs[rank]
+            .values()
+            .filter(|m| m.state != MsgState::Consumed)
             .count()
     }
 
@@ -1170,27 +1219,21 @@ impl MpiWorld {
     /// payloads — the scheduler arranges an MPE wakeup timer for it so the
     /// detection path runs even when no other event would wake the rank.
     pub fn next_deadline(&self, rank: Rank) -> Option<SimTime> {
-        self.active[rank]
-            .iter()
-            .filter_map(|id| {
-                let m = self.msgs.get(id)?;
-                if m.src == rank && m.state == MsgState::DataLost {
-                    m.deadline
-                } else {
-                    None
-                }
-            })
+        self.msgs[rank]
+            .values()
+            .filter(|m| m.state == MsgState::DataLost)
+            .filter_map(|m| m.deadline)
             .min()
     }
 
     /// Free the bookkeeping of a completed receive (after the payload has
     /// been consumed). Keeps long runs O(live traffic).
     pub fn retire_recv(&mut self, h: RecvHandle) {
-        if let Some(r) = self.recvs.get(&h.0) {
+        let (rank, seq) = self.split(h.0);
+        if let Some(r) = self.recvs[rank].remove(&seq) {
             assert!(r.complete, "retiring an incomplete receive");
-            self.recvs.remove(&h.0);
             // Receive ids are `rank + n * seq`: the owner's queue only.
-            let q = &mut self.completed[(h.0 % self.n as u64) as usize];
+            let q = &mut self.completed[rank];
             if let Some(i) = q.iter().position(|&id| id == h.0) {
                 q.swap_remove(i);
             }
@@ -1200,17 +1243,25 @@ impl MpiWorld {
     /// True when no message is still in flight, staged, or awaiting
     /// consumption (quiescence check between timesteps). Fully finished
     /// messages are retired eagerly, so this checks emptiness of the live
-    /// set (staged and batched members are live entries in it).
+    /// tables (staged and batched members are live entries in them).
     pub fn quiescent(&self) -> bool {
-        debug_assert!(!self.msgs.is_empty() || (self.stage.is_empty() && self.batches.is_empty()));
-        self.msgs.is_empty()
+        let quiet = self.msgs.iter().all(|t| t.is_empty());
+        debug_assert!(
+            !quiet
+                || (self.stage.iter().all(|s| s.is_empty())
+                    && self.batches.iter().all(|b| b.is_empty()))
+        );
+        quiet
     }
 
-    /// Sizes of the message- and receive-handle maps — the memory the
-    /// library holds per live (or not-yet-compacted) request. Campaign
-    /// tests pin these to stay bounded over long runs.
+    /// Sizes of the message- and receive-handle tables, summed over ranks
+    /// — the memory the library holds per live (or not-yet-compacted)
+    /// request. Campaign tests pin these to stay bounded over long runs.
     pub fn handle_map_sizes(&self) -> (usize, usize) {
-        (self.msgs.len(), self.recvs.len())
+        (
+            self.msgs.iter().map(|t| t.len()).sum(),
+            self.recvs.iter().map(|t| t.len()).sum(),
+        )
     }
 
     /// Outstanding handles at the end of a run, by `(rank, tag)`: one entry
@@ -1218,27 +1269,42 @@ impl MpiWorld {
     /// posted-but-never-matched receive (attributed to the receiving rank).
     /// A clean run returns an empty vector; anything else is a leak the
     /// controller surfaces in `RunReport` instead of letting it vanish
-    /// silently.
+    /// silently. Sorted, so table order never shows.
     pub fn leaked(&self) -> Vec<(Rank, Tag)> {
-        let mut out: Vec<(Rank, Tag)> = self.msgs.values().map(|m| (m.src, m.tag)).collect();
-        for (&(rank, _src, tag), q) in &self.posted {
-            out.extend(q.iter().map(|_| (rank, tag)));
+        let mut out: Vec<(Rank, Tag)> = self
+            .msgs
+            .iter()
+            .flat_map(|t| t.values())
+            .map(|m| (m.src, m.tag))
+            .collect();
+        for (rank, table) in self.posted.iter().enumerate() {
+            for (&(_src, tag), q) in table {
+                out.extend(q.iter().map(|_| (rank, tag)));
+            }
         }
         out.sort_unstable();
         out
     }
 
-    /// Drop completed receives whose payload was consumed (fully finished
-    /// messages are already retired eagerly by `progress`). Runs on a
-    /// bounded cadence from `progress` — merely-complete receives are kept
-    /// so `recv_done` pollers and pending `take_payload` calls stay valid.
-    /// Completion-queue entries of dropped handles go with them, which
-    /// bounds the queues of callers that poll instead of draining.
+    /// Drop completed receives whose payload was consumed, on every rank
+    /// (fully finished messages are already retired eagerly by `progress`).
+    /// `progress` runs the same compaction per rank on a bounded cadence —
+    /// merely-complete receives are kept so `recv_done` pollers and pending
+    /// `take_payload` calls stay valid.
     pub fn compact(&mut self) {
-        self.recvs.retain(|_, r| !(r.complete && r.taken));
-        for q in &mut self.completed {
-            q.retain(|id| self.recvs.contains_key(id));
+        for rank in 0..self.n {
+            self.compact_rank(rank);
         }
+    }
+
+    /// Compact `rank`'s receive table. Completion-queue entries of dropped
+    /// handles go with them, which bounds the queues of callers that poll
+    /// instead of draining.
+    fn compact_rank(&mut self, rank: Rank) {
+        let table = &mut self.recvs[rank];
+        table.retain(|_, r| !(r.complete && r.taken));
+        let n = self.n as u64;
+        self.completed[rank].retain(|&id| table.contains_key(&(id / n)));
     }
 }
 
@@ -1252,11 +1318,21 @@ impl MpiWorld {
 ///
 /// * message and receive ids are minted from per-rank namespaces, so the
 ///   ids a rank draws never depend on other ranks' call timing;
+/// * the per-rank tables are keyed by the rank that minted each id. A
+///   message (and a coalesced batch) lives in its sender's table: the
+///   sender's `isend` inserts it, and after that each entry is touched by
+///   one side at a time — the receiver's `progress` for an arrived RTS or
+///   payload (granting, consuming, retiring it), the sender's for a granted
+///   CTS, a lost payload or an ack, and `on_wire` for the side whose NIC
+///   the packet lands at. A receive lives in the posting rank's table, and
+///   only that rank's calls (`irecv`, `progress`, `take_payload`,
+///   `retire_recv`, compaction) touch it. The posted-receive table and the
+///   staging buffers are likewise the destination's and the source's own;
 /// * each message's state is only ever touched by one side per window (the
 ///   other side cannot observe the transition until the barrier merge
 ///   delivers the corresponding wire event);
-/// * matching is FIFO per `(dst, src, tag)` and driven solely by the
-///   destination rank;
+/// * matching is FIFO per `(src, tag)` in the destination's posted table
+///   and driven solely by the destination rank;
 /// * the shared counters (`sends_posted`, `recvs_completed`, fault stats)
 ///   are pure accumulators;
 /// * each rank's ready index and receive-completion queue are written only
@@ -1265,9 +1341,13 @@ impl MpiWorld {
 ///   NIC. `retire_msg` (an ack landing at the sender, or a consumption at
 ///   the receiver) therefore never touches the other rank's index; a stale
 ///   entry is pruned lazily by its owner's next `progress`, and stale
-///   entries never change what `progress` does. Cadenced compaction only
+///   entries never change what `progress` does. Cadenced compaction runs
+///   on the calling rank's own cadence over its own receives, and only
 ///   drops queue entries whose payload was already taken, which a caller
-///   that drains the queue before taking never leaves behind.
+///   that drains the queue before taking never leaves behind;
+/// * nothing reads a table in iteration order: a table's layout may depend
+///   on how two ranks' inserts and removals interleaved, but lookups,
+///   counts, minima and the sorted `leaked` list do not.
 ///
 /// Any interleaving of different ranks' calls therefore produces the same
 /// world state at the window barrier, which is what makes the PDES engine
@@ -1598,10 +1678,14 @@ mod tests {
         // Completed but not yet consumed: compaction must keep the handle
         // so a pending take_payload stays valid.
         w.compact();
-        assert_eq!(w.recvs.len(), 1, "unconsumed receive survives compaction");
+        assert_eq!(
+            w.handle_map_sizes(),
+            (0, 1),
+            "unconsumed receive survives compaction"
+        );
         let _ = w.take_payload(r);
         w.compact();
-        assert!(w.msgs.is_empty() && w.recvs.is_empty());
+        assert_eq!(w.handle_map_sizes(), (0, 0));
         assert_eq!(w.recvs_completed, 1);
         assert!(w.recv_done(r), "compacted handle still reports done");
     }
@@ -2099,6 +2183,56 @@ mod tests {
     }
 
     #[test]
+    fn pinned_entries_keep_the_tables_o_live_over_10k_messages() {
+        // One receive that never matches and one message nobody receives
+        // stay live on the same ranks while 10k messages pass: a table
+        // indexed by sequence span would grow with run history; the
+        // per-rank tables must stay sized by their live entries.
+        let (mut m, mut w) = setup(2);
+        let pinned_recv = w.irecv(1, 0, 999);
+        let pinned_msg = w.isend(&mut m.ctx(0), 0, 1, 777, 8, None, SimTime::ZERO);
+        drain(&mut m, &mut w);
+        let mut max_cap = 0;
+        for i in 0..10_000u64 {
+            w.isend(
+                &mut m.ctx(0),
+                0,
+                1,
+                1,
+                8,
+                Some(vec![i as f64]),
+                SimTime::ZERO,
+            );
+            let r = w.irecv(1, 0, 1);
+            drain(&mut m, &mut w);
+            let now = m.now();
+            w.progress(1, &mut m.ctx(1), now);
+            assert_eq!(w.take_payload(r), Some(vec![i as f64]));
+            w.retire_recv(r);
+            let caps = [
+                w.msgs[0].capacity(),
+                w.msgs[1].capacity(),
+                w.recvs[0].capacity(),
+                w.recvs[1].capacity(),
+                w.posted[1].capacity(),
+                w.ready[1].capacity(),
+                w.completed[1].capacity(),
+            ];
+            max_cap = max_cap.max(caps.into_iter().max().unwrap());
+        }
+        assert!(max_cap <= 16, "a table grew with run history: {max_cap}");
+        assert_eq!(w.handle_map_sizes(), (1, 1), "exactly the pinned pair");
+        assert!(!w.recv_done(pinned_recv) && w.send_done(pinned_msg));
+        assert!(w.iprobe(1, 0, 777), "the pinned message is still probeable");
+        assert_eq!(w.leaked(), vec![(0, 777), (1, 999)]);
+        // The pinned pair is still served: a late receive takes the message.
+        let late = w.irecv(1, 0, 777);
+        let now = m.now();
+        assert_eq!(w.progress(1, &mut m.ctx(1), now), 1);
+        assert!(w.recv_done(late) && w.quiescent());
+    }
+
+    #[test]
     fn probe_then_retire_agrees_under_duplicate_suppression() {
         // Bugfix regression: a suppressed duplicate must never make iprobe
         // report a message that take_payload/retire_recv can't finish.
@@ -2204,7 +2338,7 @@ mod tests {
         };
         let (mut m, mut w, plan) = reliable(2, cfg);
         let s = w.isend(&mut m.ctx(0), 0, 1, 6, 8, Some(vec![5.0]), SimTime::ZERO);
-        assert_eq!(w.msgs[&s.0].state, MsgState::DataLost);
+        assert_eq!(w.msg(s.0).unwrap().state, MsgState::DataLost);
         assert_eq!(ready(&w, 0), vec![s.0], "the drop indexes the sender");
         let deadline = w.next_deadline(0).expect("resend timer armed");
         // Before the deadline: indexed, but nothing to do.

@@ -26,7 +26,98 @@ fn settle(m: &mut Machine, w: &mut MpiWorld, n: usize) {
     }
 }
 
+/// SplitMix64 step: the test's own scheduling choices, from one sample.
+fn next(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// A channel: `(src, dst, tag)`.
+type Chan = (usize, usize, u64);
+
 proptest! {
+    /// Receives and messages retire in random order across 4 ranks while
+    /// later rounds of traffic keep arriving: wire events land one at a
+    /// time, a random rank progresses, and a random completed receive is
+    /// taken and retired. Each channel still delivers FIFO, and the world
+    /// ends quiescent with empty tables.
+    #[test]
+    fn random_retirement_order_keeps_channel_fifo(
+        rounds in prop::collection::vec(
+            prop::collection::vec((0usize..4, 0usize..3, 0u64..3, 1u64..40_000), 1..12),
+            1..5,
+        ),
+        seed in any::<u64>(),
+    ) {
+        use std::collections::BTreeMap;
+        let n = 4;
+        let mut m = Machine::new(MachineConfig::sw26010(), n);
+        let mut w = MpiWorld::new(n);
+        let mut rng = seed;
+        let mut sent: BTreeMap<Chan, Vec<f64>> = BTreeMap::new();
+        let mut got: BTreeMap<Chan, Vec<Option<f64>>> = BTreeMap::new();
+        // Posted, not yet retired: (channel, posting slot on it, handle).
+        let mut open = Vec::new();
+        let mut stamp = 0.0;
+        for (round, spec) in rounds.iter().enumerate() {
+            let mut chans: Vec<Chan> = Vec::new();
+            for &(src, dst_off, tag, bytes) in spec {
+                let dst = (src + 1 + dst_off) % n;
+                let now = m.now();
+                w.isend(&mut m.ctx(src), src, dst, tag, bytes, Some(vec![stamp]), now);
+                sent.entry((src, dst, tag)).or_default().push(stamp);
+                stamp += 1.0;
+                chans.push((src, dst, tag));
+            }
+            // One receive per send, posted in a shuffled cross-channel order.
+            for i in (1..chans.len()).rev() {
+                chans.swap(i, (next(&mut rng) % (i as u64 + 1)) as usize);
+            }
+            for ch in chans {
+                let slots = got.entry(ch).or_default();
+                open.push((ch, slots.len(), w.irecv(ch.1, ch.0, ch.2)));
+                slots.push(None);
+            }
+            // Earlier rounds interleave with later ones: only the last round
+            // runs until everything has retired.
+            let last = round + 1 == rounds.len();
+            let budget = if last { 1_000_000 } else { next(&mut rng) % 64 };
+            let mut steps = 0u64;
+            while steps < budget && !(open.is_empty() && m.peek_time().is_none()) {
+                steps += 1;
+                if next(&mut rng) & 1 == 0 {
+                    if let Some((_, MachineEvent::NetDeliver { token, .. })) = m.pop() {
+                        w.on_wire(token);
+                    }
+                }
+                let r = (next(&mut rng) % n as u64) as usize;
+                let now = m.now();
+                w.progress(r, &mut m.ctx(r), now);
+                if !open.is_empty() {
+                    let k = (next(&mut rng) % open.len() as u64) as usize;
+                    let (ch, slot, h) = open[k];
+                    if w.recv_done(h) {
+                        let payload = w.take_payload(h).expect("payload travels");
+                        got.get_mut(&ch).unwrap()[slot] = Some(payload[0]);
+                        w.retire_recv(h);
+                        open.swap_remove(k);
+                    }
+                }
+            }
+            prop_assert!(!last || steps < budget, "traffic failed to settle");
+        }
+        prop_assert!(w.quiescent(), "all traffic must finish");
+        prop_assert_eq!(w.handle_map_sizes(), (0, 0));
+        prop_assert!(w.leaked().is_empty());
+        for (ch, stamps) in sent {
+            let delivered: Vec<f64> = got[&ch].iter().map(|s| s.unwrap()).collect();
+            prop_assert_eq!(delivered, stamps, "channel {:?}", ch);
+        }
+    }
+
     /// Any batch of sends with matching receives completes, with payloads
     /// delivered FIFO per (src, dst, tag) channel — for eager and rendezvous
     /// sizes alike.

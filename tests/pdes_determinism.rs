@@ -192,44 +192,75 @@ fn repeated_two_thread_runs_match_serial_under_each_comm_config() {
 
 /// Stress mode: K repeated two-thread PDES runs per config, each compared
 /// with the serial engine on the full `RunReport` and, for functional runs,
-/// every patch's final field bits. Covers a 16-CG model run (window drains on the fork-join
-/// pool) and a functional run whose ranks also fan their CPE tiles out
-/// over the pool, so tile tasks nest inside window tasks. Ignored by
-/// default; `ci.sh` runs it in release.
+/// every patch's final field bits. Covers a 16-CG model run (window drains
+/// on the fork-join pool) under the default comm layer, aggregation and the
+/// dedicated progress lane — three different orders in which ranks write
+/// the shared communicator's per-rank tables — and a functional run whose
+/// ranks also fan their CPE tiles out over the pool, so tile tasks nest
+/// inside window tasks. Ignored by default; `ci.sh` runs it in release.
 #[test]
 #[ignore = "stress: run by ci.sh in release"]
 fn stress_repeated_two_thread_runs_match_serial() {
     const K: usize = 10;
     let model = Level::new(iv(32, 32, 64), iv(4, 4, 8));
     let functional = Level::new(iv(8, 8, 8), iv(2, 2, 2));
+    let aggregation = CommConfig {
+        agg_bytes: 4096,
+        agg_deadline_ps: 5_000_000,
+        ..CommConfig::default()
+    };
+    let progress_lane = CommConfig {
+        progress_lane: true,
+        ..CommConfig::default()
+    };
     let cases = [
         (
             "model 16-CG",
-            model,
+            &model,
             ExecMode::Model,
             16,
             ExecPolicy::Serial,
+            CommConfig::default(),
+        ),
+        (
+            "model 16-CG, aggregation",
+            &model,
+            ExecMode::Model,
+            16,
+            ExecPolicy::Serial,
+            aggregation,
+        ),
+        (
+            "model 16-CG, progress lane",
+            &model,
+            ExecMode::Model,
+            16,
+            ExecPolicy::Serial,
+            progress_lane,
         ),
         (
             "functional, pooled tiles",
-            functional,
+            &functional,
             ExecMode::Functional,
             4,
             ExecPolicy::Parallel { threads: 2 },
+            CommConfig::default(),
         ),
     ];
-    for (name, level, mode, cgs, policy) in cases {
+    for (name, level, mode, cgs, policy, comm) in cases {
         let run = |pdes: bool| {
             let mut cfg = RunConfig::paper(Variant::ACC_SIMD_ASYNC, mode, cgs);
             cfg.steps = 3;
+            cfg.comm = comm;
             cfg.pdes = pdes;
             cfg.threads = pdes.then_some(2);
             if pdes {
                 cfg.options.exec_policy = policy;
             }
-            let app = Arc::new(BurgersApp::new(&level, ExpKind::Fast));
+            let app = Arc::new(BurgersApp::new(level, ExpKind::Fast));
             let mut sim = Simulation::new(level.clone(), app, cfg);
             let report = sim.run();
+            assert!(report.messages > 0, "{name}: no cross-rank traffic");
             // Model mode computes no fields, so only the report compares.
             let fields = (mode == ExecMode::Functional).then(|| bits(&sim));
             (format!("{report:?}"), fields)
